@@ -8,7 +8,9 @@
 //! substring to filter: `cargo bench --bench micro -- set_cover`.
 
 use ghd_bench::timer::Harness;
-use ghd_bounds::lower::{degeneracy, minor_gamma_r, minor_min_width};
+use ghd_bounds::lower::{
+    degeneracy, minor_gamma_r, minor_min_width, tw_lower_bound_elim, LbScratch,
+};
 use ghd_bounds::upper::min_fill_ordering;
 use ghd_core::bucket::{bucket_elimination, vertex_elimination};
 use ghd_core::eval::{GhwEvaluator, TwEvaluator};
@@ -91,6 +93,15 @@ fn bench_lower_bounds(hn: &mut Harness) {
     });
     hn.bench("lb/minor_gamma_r/queen8_8 (Fig 4.8)", || {
         black_box(minor_gamma_r::<StdRng>(black_box(&g), None));
+    });
+    // the per-node bound of the exact searches, on a residual below the root
+    let mut eg = EliminationGraph::new(&g);
+    for v in [0, 9, 18, 27] {
+        eg.eliminate(v);
+    }
+    let mut scratch = LbScratch::new();
+    hn.bench("lb/tw_lower_bound_elim/queen8_8 residual", || {
+        black_box(tw_lower_bound_elim(black_box(&eg), &mut scratch));
     });
 }
 

@@ -180,11 +180,7 @@ impl BitSet {
 
     /// Iterates over elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            set: self,
-            block_idx: 0,
-            current: self.blocks.first().copied().unwrap_or(0),
-        }
+        Iter::over_blocks(&self.blocks)
     }
 
     /// Collects the elements into a sorted `Vec`.
@@ -209,15 +205,29 @@ impl FromIterator<usize> for BitSet {
 }
 
 /// Iterator over the elements of a [`BitSet`] in increasing order.
+#[derive(Clone)]
 pub struct Iter<'a> {
-    set: &'a BitSet,
+    blocks: &'a [u64],
     block_idx: usize,
     current: u64,
+}
+
+impl<'a> Iter<'a> {
+    /// Iterates over the set bits of raw 64-bit blocks (low to high), laid
+    /// out as in [`BitSet::blocks`].
+    pub fn over_blocks(blocks: &'a [u64]) -> Self {
+        Iter {
+            blocks,
+            block_idx: 0,
+            current: blocks.first().copied().unwrap_or(0),
+        }
+    }
 }
 
 impl Iterator for Iter<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
         loop {
             if self.current != 0 {
@@ -226,10 +236,10 @@ impl Iterator for Iter<'_> {
                 return Some(self.block_idx * BITS + tz);
             }
             self.block_idx += 1;
-            if self.block_idx >= self.set.blocks.len() {
+            if self.block_idx >= self.blocks.len() {
                 return None;
             }
-            self.current = self.set.blocks[self.block_idx];
+            self.current = self.blocks[self.block_idx];
         }
     }
 }

@@ -601,7 +601,12 @@ mod tests {
     #[test]
     fn injected_delays_change_nothing_but_timing() {
         let xs: Vec<u64> = (0..24).collect();
-        let clean = parallel_map(&xs, 4, |&x| x * x);
+        // The clean run holds an empty plan's scope too, so a concurrent
+        // test's armed kill can never fire inside it.
+        let clean = {
+            let _quiet = fault::install(fault::FaultPlan::new());
+            parallel_map(&xs, 4, |&x| x * x)
+        };
         let _scope = fault::install(fault::FaultPlan::new().delay(42, 200));
         let delayed = parallel_map_contained(&xs, 4, |&x| x * x);
         assert!(delayed.is_clean());

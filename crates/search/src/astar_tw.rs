@@ -199,9 +199,7 @@ pub fn astar_tw(g: &Graph, limits: SearchLimits) -> SearchResult {
             let t_g = s_g.max(d);
             let mut t_f = t_g.max(s_f);
             if (t_f as usize) < ub {
-                let h =
-                    tw_lower_bound_elim::<ghd_prng::rngs::StdRng>(&eg, None, &mut lb_scratch)
-                        as u32;
+                let h = tw_lower_bound_elim(&eg, &mut lb_scratch) as u32;
                 t_f = t_f.max(h);
             }
             let dominated = (t_f as usize) < ub && {

@@ -76,7 +76,7 @@ pub(crate) fn residual_ghw_lb(
     if eg.num_alive() == 0 {
         return 0;
     }
-    let tw_lb = tw_lower_bound_elim::<ghd_prng::rngs::StdRng>(eg, None, scratch);
+    let tw_lb = tw_lower_bound_elim(eg, scratch);
     ksc.bound(tw_lb + 1)
 }
 

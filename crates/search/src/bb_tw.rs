@@ -14,6 +14,11 @@ use ghd_hypergraph::{BitSet, EliminationGraph, Graph};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Per-node lower bound heuristic selection (for the ablation benches).
+///
+/// `Mmw` and `MmwGammaR` give the same value at every non-root node: the
+/// residual there has a dead (isolated) vertex, and with deterministic
+/// tie-breaks minor-γ_R equals minor-min-width on any graph with an
+/// isolated vertex (see DESIGN.md). They can differ only at the root.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum LbMode {
     /// No per-node bound (PR1 and the incumbent still prune).
@@ -154,16 +159,8 @@ impl<'a> Dfs<'a> {
         // on `self.eg.to_graph()` but reuse the scratch buffers
         match self.cfg.lb_mode {
             LbMode::None => 0,
-            LbMode::Mmw => minor_min_width_elim::<ghd_prng::rngs::StdRng>(
-                &self.eg,
-                None,
-                &mut self.lb_scratch,
-            ),
-            LbMode::MmwGammaR => tw_lower_bound_elim::<ghd_prng::rngs::StdRng>(
-                &self.eg,
-                None,
-                &mut self.lb_scratch,
-            ),
+            LbMode::Mmw => minor_min_width_elim(&self.eg, &mut self.lb_scratch),
+            LbMode::MmwGammaR => tw_lower_bound_elim(&self.eg, &mut self.lb_scratch),
         }
     }
 

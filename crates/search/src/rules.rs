@@ -34,18 +34,18 @@ pub fn find_simplicial(eg: &EliminationGraph) -> Option<usize> {
 /// the ordering unchanged, so only one interleaving needs exploration.
 pub fn swappable_tw(eg: &EliminationGraph, a: usize, b: usize) -> bool {
     debug_assert!(eg.is_alive(a) && eg.is_alive(b) && a != b);
-    if !eg.has_edge(a, b) {
-        return true;
-    }
-    let mut na = eg.neighbors(a).clone();
-    na.remove(b);
-    let mut nb = eg.neighbors(b).clone();
-    nb.remove(a);
-    !nb_minus_is_empty(&na, &nb) && !nb_minus_is_empty(&nb, &na)
+    !eg.has_edge(a, b) || (has_private_neighbour(eg, a, b) && has_private_neighbour(eg, b, a))
 }
 
-fn nb_minus_is_empty(x: &BitSet, y: &BitSet) -> bool {
-    x.difference_len(y) == 0
+/// `N(a) \ N(b) \ {b}` is non-empty, tested word by word without copying
+/// either row.
+fn has_private_neighbour(eg: &EliminationGraph, a: usize, b: usize) -> bool {
+    let (b_word, b_mask) = (b / 64, 1u64 << (b % 64));
+    let nb = eg.neighbors(b).blocks();
+    eg.neighbors(a).blocks().iter().zip(nb).enumerate().any(|(i, (&x, &y))| {
+        let private = x & !y;
+        (if i == b_word { private & !b_mask } else { private }) != 0
+    })
 }
 
 /// The GHW-safe restriction of pruning rule 2 (§8.3): only the non-adjacent
