@@ -1,7 +1,7 @@
 //! Micro-benchmarks over the workspace's hot operations: the
-//! eliminate/restore machinery (§5.2.1), ordering evaluation (Figs 6.2 and
-//! 7.1), set covering (plain and memoized), the lower-bound heuristics and
-//! the GA operators.
+//! eliminate/restore machinery (§5.2.1), the reduction tests and the
+//! closed-set interner, ordering evaluation (Figs 6.2 and 7.1), set covering
+//! (plain and memoized), the lower-bound heuristics and the GA operators.
 //!
 //! Driven by the dependency-free median-of-N harness in
 //! `ghd_bench::timer` (the offline build has no criterion). Pass a
@@ -20,6 +20,8 @@ use ghd_ga::{CrossoverOp, MutationOp};
 use ghd_hypergraph::generators::{graphs, hypergraphs};
 use ghd_hypergraph::{BitSet, EliminationGraph, Hypergraph};
 use ghd_prng::rngs::StdRng;
+use ghd_search::rules::find_reduction_tw;
+use ghd_search::StateInterner;
 use std::hint::black_box;
 
 fn bench_eliminate_restore(h: &mut Harness) {
@@ -31,6 +33,39 @@ fn bench_eliminate_restore(h: &mut Harness) {
         }
         for _ in 0..16 {
             eg.restore();
+        }
+    });
+}
+
+fn bench_search_bookkeeping(hn: &mut Harness) {
+    // the reduction scan every expanded state runs, on a residual below the
+    // root with the bound the search would pass there
+    let g = graphs::queen(8);
+    let mut eg = EliminationGraph::new(&g);
+    for v in [0, 9, 18, 27] {
+        eg.eliminate(v);
+    }
+    let lb = tw_lower_bound_elim(&eg, &mut LbScratch::new());
+    hn.bench("rules/find_reduction_tw/queen8_8 residual", || {
+        black_box(find_reduction_tw(black_box(&eg), lb));
+    });
+    // closed-set keys of a 130-vertex search: alive sets that differ only
+    // in their high vertices, each interned once fresh and once as a hit
+    let keys: Vec<Vec<u64>> = (0..4096u64)
+        .map(|i| {
+            let mut alive = BitSet::full(130);
+            for bit in 0..12 {
+                if i >> bit & 1 == 1 {
+                    alive.remove(110 + bit);
+                }
+            }
+            alive.blocks().to_vec()
+        })
+        .collect();
+    hn.bench("interner/intern alive keys", || {
+        let mut interner = StateInterner::for_vertices(130);
+        for key in keys.iter().chain(&keys) {
+            black_box(interner.intern(black_box(key)));
         }
     });
 }
@@ -180,6 +215,7 @@ fn bench_primal_and_lnf(hn: &mut Harness) {
 fn main() {
     let mut hn = Harness::from_env();
     bench_eliminate_restore(&mut hn);
+    bench_search_bookkeeping(&mut hn);
     bench_bucket_vs_vertex_elimination(&mut hn);
     bench_evaluators(&mut hn);
     bench_set_cover(&mut hn);

@@ -178,6 +178,13 @@ impl BitSet {
         &self.blocks
     }
 
+    /// The raw 64-bit blocks, mutably. Callers must leave bits at or above
+    /// `capacity` clear.
+    #[inline]
+    pub(crate) fn blocks_mut(&mut self) -> &mut [u64] {
+        &mut self.blocks
+    }
+
     /// Iterates over elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
         Iter::over_blocks(&self.blocks)

@@ -7,7 +7,7 @@ use crate::bb_ghw::residual_ghw_lb;
 use crate::common::{Budget, SearchLimits, SearchResult, Telemetry};
 use crate::interner::StateInterner;
 use crate::queue::BucketQueue;
-use crate::rules::{find_simplicial, pr2_allowed_children, swappable_ghw};
+use crate::rules::{child_successors, find_simplicial, swappable_ghw};
 use ghd_bounds::ksc::{ghw_lower_bound, KscTable};
 use ghd_bounds::lower::LbScratch;
 use ghd_bounds::upper::ghw_upper_bound;
@@ -160,11 +160,6 @@ pub fn astar_ghw(h: &Hypergraph, limits: SearchLimits) -> SearchResult {
         let (s_g, s_f, s_depth) = (nodes[s_id].g, nodes[s_id].f, nodes[s_id].depth);
         for &v in &s_children {
             let v_us = v as usize;
-            let pr2_set = if !s_reduced {
-                Some(pr2_allowed_children(&eg, v_us, swappable_ghw))
-            } else {
-                None
-            };
             // vertices in no hyperedge are unconstrained and need no cover
             // support, so the bag is restricted to the covered set up front
             bag.copy_from(eg.neighbors(v_us));
@@ -206,21 +201,9 @@ pub fn astar_ghw(h: &Hypergraph, limits: SearchLimits) -> SearchResult {
             } else if dominated {
                 telemetry.prune(|p| p.dominance_hits += 1);
             }
+            let mut unreduced = None;
             if (t_f as usize) < ub && !dominated {
-                let (children, reduced) = match find_simplicial(&eg) {
-                    Some(w) => (vec![w as u32], true),
-                    None => {
-                        let set: Vec<u32> = match &pr2_set {
-                            Some(s) => s.iter().map(|x| x as u32).collect(),
-                            None => eg.alive().iter().map(|x| x as u32).collect(),
-                        };
-                        if let (true, Some(s)) = (telemetry.on(), &pr2_set) {
-                            let cut = eg.num_alive().saturating_sub(s.len()) as u64;
-                            telemetry.prune(|p| p.pr2_filtered += cut);
-                        }
-                        (set, false)
-                    }
-                };
+                let forced = find_simplicial(&eg);
                 let id = nodes.len() as u32;
                 nodes.push(Node {
                     parent: entry_id,
@@ -228,12 +211,23 @@ pub fn astar_ghw(h: &Hypergraph, limits: SearchLimits) -> SearchResult {
                     g: t_g,
                     f: t_f,
                     depth: s_depth + 1,
-                    reduced,
-                    children,
+                    reduced: forced.is_some(),
+                    children: forced.map(|w| vec![w as u32]).unwrap_or_default(),
                 });
                 queue.push(t_f as usize, (s_depth + 1) as usize, id);
+                if forced.is_none() {
+                    unreduced = Some(id as usize);
+                }
             }
             eg.restore();
+            // PR2 is evaluated in G^s, so a pushed child's successors are
+            // listed only now, back in the parent graph
+            if let Some(id) = unreduced {
+                let children = child_successors(&eg, v_us, (!s_reduced).then_some(swappable_ghw));
+                let cut = (eg.num_alive() - 1 - children.len()) as u64;
+                telemetry.prune(|p| p.pr2_filtered += cut);
+                nodes[id].children = children;
+            }
         }
         if telemetry.on() {
             telemetry.peaks(

@@ -14,7 +14,7 @@ use crate::common::{
     SearchStats, StealCounters, Telemetry, Ticker,
 };
 use crate::interner::StateInterner;
-use crate::rules::{find_simplicial, pr2_allowed_children, swappable_ghw};
+use crate::rules::{child_successors, find_simplicial, swappable_ghw};
 use crate::sharded::ShardedInterner;
 use crate::steal::{Scheduler, StealConfig};
 use ghd_bounds::ksc::KscTable;
@@ -314,7 +314,7 @@ impl<'a> Dfs<'a> {
         }
     }
 
-    fn search(&mut self, g: usize, f: usize, allowed: Option<&BitSet>) -> bool {
+    fn search(&mut self, g: usize, f: usize, allowed: Option<&[u32]>) -> bool {
         if !self.ticker.tick() {
             // this node stays open: its f joins the expiry floor
             self.expiry_floor = self.expiry_floor.min(f);
@@ -390,7 +390,7 @@ impl<'a> Dfs<'a> {
                         let cut = self.eg.num_alive().saturating_sub(set.len()) as u64;
                         self.telemetry.prune(|p| p.pr2_filtered += cut);
                     }
-                    set.iter().collect()
+                    set.iter().map(|&v| v as usize).collect()
                 }
                 None => self.eg.alive().to_vec(),
             },
@@ -399,11 +399,6 @@ impl<'a> Dfs<'a> {
 
         let last = children.len();
         for (i, &v) in children.iter().enumerate() {
-            let grandchildren = if self.cfg.use_pr2 && forced.is_none() {
-                Some(pr2_allowed_children(&self.eg, v, swappable_ghw))
-            } else {
-                None
-            };
             // vertices in no hyperedge are unconstrained and need no cover
             // support, so the bag is restricted to the covered set up front
             self.bag_scratch.copy_from(self.eg.neighbors(v));
@@ -414,9 +409,17 @@ impl<'a> Dfs<'a> {
                 self.degraded = true;
                 self.telemetry.prune(|p| p.capped_covers += 1);
             }
+            let child_g = g.max(k);
+            // grandchild PR2 filter must look at the *current* graph; a
+            // child that its own bag cover already prunes never uses it
+            let grandchildren = if self.cfg.use_pr2 && forced.is_none() && child_g.max(f) < self.ub
+            {
+                Some(child_successors(&self.eg, v, Some(swappable_ghw)))
+            } else {
+                None
+            };
             self.eg.eliminate(v);
             self.suffix.push(v);
-            let child_g = g.max(k);
             let mut child_f = child_g.max(f);
             if child_f < self.ub {
                 child_f =
@@ -426,7 +429,7 @@ impl<'a> Dfs<'a> {
                 if self.can_publish() && self.publish_child(child_g, child_f) {
                     true // the scheduler owns the subtree now
                 } else {
-                    self.search(child_g, child_f, grandchildren.as_ref())
+                    self.search(child_g, child_f, grandchildren.as_deref())
                 }
             } else {
                 self.telemetry.prune(|p| p.f_prunes += 1);
@@ -480,13 +483,13 @@ fn run_steal_task(dfs: &mut Dfs<'_>, prefix: &[u32], g: usize, f: usize) -> bool
         None
     };
     let grandchildren = if dfs.cfg.use_pr2 && forced.is_none() {
-        Some(pr2_allowed_children(&dfs.eg, v, swappable_ghw))
+        Some(child_successors(&dfs.eg, v, Some(swappable_ghw)))
     } else {
         None
     };
     dfs.eg.eliminate(v);
     dfs.suffix.push(v);
-    let ok = dfs.search(g, f, grandchildren.as_ref());
+    let ok = dfs.search(g, f, grandchildren.as_deref());
     for _ in 0..prefix.len() {
         dfs.suffix.pop();
         dfs.eg.restore();
@@ -692,11 +695,9 @@ pub fn bb_ghw_parallel_rootsplit(h: &Hypergraph, cfg: &BbGhwConfig, threads: usi
     }
     let ksc = KscTable::new(h);
     let run_task = |&v: &usize| {
-        let mut allowed = BitSet::new(n);
-        allowed.insert(v);
         let mut dfs = Dfs::new(h, cfg, &primal, &covered, budget.worker(), ub, root_lb, &ksc);
         dfs.shared_ub = Some(&incumbent);
-        let completed = dfs.search(0, root_lb, Some(&allowed));
+        let completed = dfs.search(0, root_lb, Some(&[v as u32]));
         let cache = dfs.cache.as_ref().map(|c| c.stats());
         let mut telemetry = dfs.telemetry;
         if let Some(s) = cache {

@@ -6,11 +6,11 @@ use crate::common::{
     anytime_lb, complete_ordering, Budget, IncumbentSample, SearchLimits, SearchResult,
     SearchStats, StealCounters, Telemetry, Ticker,
 };
-use crate::rules::{find_reduction_tw, pr2_allowed_children, swappable_tw};
+use crate::rules::{child_successors, find_reduction_tw, swappable_tw};
 use crate::steal::{Scheduler, StealConfig};
 use ghd_bounds::lower::{minor_min_width_elim, tw_lower_bound, tw_lower_bound_elim, LbScratch};
 use ghd_bounds::upper::tw_upper_bound;
-use ghd_hypergraph::{BitSet, EliminationGraph, Graph};
+use ghd_hypergraph::{EliminationGraph, Graph};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Per-node lower bound heuristic selection (for the ablation benches).
@@ -168,7 +168,7 @@ impl<'a> Dfs<'a> {
     /// partial ordering, `f` the inherited bound, `allowed` the PR2-filtered
     /// candidate set (`None` = all alive). Returns `false` when the budget
     /// expired (result no longer guaranteed exact).
-    fn search(&mut self, g: usize, f: usize, allowed: Option<&BitSet>) -> bool {
+    fn search(&mut self, g: usize, f: usize, allowed: Option<&[u32]>) -> bool {
         if !self.ticker.tick() {
             // this node stays open: its f joins the expiry floor
             self.expiry_floor = self.expiry_floor.min(f);
@@ -208,7 +208,7 @@ impl<'a> Dfs<'a> {
                         let cut = n_alive.saturating_sub(set.len()) as u64;
                         self.telemetry.prune(|p| p.pr2_filtered += cut);
                     }
-                    set.iter().collect()
+                    set.iter().map(|&v| v as usize).collect()
                 }
                 None => self.eg.alive().to_vec(),
             },
@@ -219,15 +219,17 @@ impl<'a> Dfs<'a> {
 
         let last = children.len();
         for (i, &v) in children.iter().enumerate() {
-            // grandchild PR2 filter must look at the *current* graph
-            let grandchildren = if self.cfg.use_pr2 && forced.is_none() {
-                Some(pr2_allowed_children(&self.eg, v, swappable_tw))
+            let child_g = g.max(self.eg.degree(v));
+            // grandchild PR2 filter must look at the *current* graph; a
+            // child that its own degree already prunes never uses it
+            let grandchildren = if self.cfg.use_pr2 && forced.is_none() && child_g.max(f) < self.ub
+            {
+                Some(child_successors(&self.eg, v, Some(swappable_tw)))
             } else {
                 None
             };
-            let d = self.eg.eliminate(v);
+            self.eg.eliminate(v);
             self.suffix.push(v);
-            let child_g = g.max(d);
             let mut child_f = child_g.max(f);
             if child_f < self.ub {
                 // h only matters if g alone does not already prune
@@ -237,7 +239,7 @@ impl<'a> Dfs<'a> {
                 if self.can_publish() && self.publish_child(child_g, child_f) {
                     true // another worker (or this one, later) searches it
                 } else {
-                    self.search(child_g, child_f, grandchildren.as_ref())
+                    self.search(child_g, child_f, grandchildren.as_deref())
                 }
             } else {
                 self.telemetry.prune(|p| p.f_prunes += 1);
@@ -289,13 +291,13 @@ fn run_steal_task(dfs: &mut Dfs<'_>, prefix: &[u32], g: usize, f: usize) -> bool
         None
     };
     let grandchildren = if dfs.cfg.use_pr2 && forced.is_none() {
-        Some(pr2_allowed_children(&dfs.eg, v, swappable_tw))
+        Some(child_successors(&dfs.eg, v, Some(swappable_tw)))
     } else {
         None
     };
     dfs.eg.eliminate(v);
     dfs.suffix.push(v);
-    let ok = dfs.search(g, f, grandchildren.as_ref());
+    let ok = dfs.search(g, f, grandchildren.as_deref());
     for _ in 0..prefix.len() {
         dfs.suffix.pop();
         dfs.eg.restore();
@@ -450,11 +452,9 @@ pub fn bb_tw_parallel_rootsplit(g: &Graph, cfg: &BbConfig, threads: usize) -> Se
 
     let incumbent = AtomicUsize::new(ub);
     let run_task = |&v: &usize| {
-        let mut allowed = BitSet::new(n);
-        allowed.insert(v);
         let mut dfs = Dfs::new(g, cfg, budget.worker(), ub, root_lb);
         dfs.shared_ub = Some(&incumbent);
-        let completed = dfs.search(0, root_lb, Some(&allowed));
+        let completed = dfs.search(0, root_lb, Some(&[v as u32]));
         (
             completed,
             dfs.found,

@@ -10,6 +10,11 @@
 //! * each key is materialised at most once, when first seen,
 //! * side tables become plain `Vec`s indexed by id instead of hash maps.
 //!
+//! The probe slot is taken from the **top** bits of the hash. FxHash's
+//! multiply only carries bits upward, so its low `k` output bits depend on
+//! the low `k` bits of the last word alone: alive-set keys that agree on
+//! their low-index vertices would all start in one probe run.
+//!
 //! [`BitSet`]: ghd_hypergraph::BitSet
 
 use crate::arena::WordArena;
@@ -28,11 +33,16 @@ pub struct StateInterner {
     /// linear probing, grown at ¾ load.
     table: Vec<u32>,
     mask: usize,
+    /// `64 − log2(table.len())`: the home slot is `hash >> shift`.
+    shift: u32,
     /// Hard cap on the id space: [`StateInterner::try_intern`] refuses to
     /// create fresh keys once `len() == limit` (existing keys still
     /// resolve). Sharded interners set this to their worker-local id range
     /// so a packed id can never spill into another worker's bits.
     limit: u32,
+    /// Table slots inspected by `try_intern` so far (tests only).
+    #[cfg(test)]
+    probes: u64,
 }
 
 impl StateInterner {
@@ -52,7 +62,10 @@ impl StateInterner {
             arena: WordArena::new(width),
             table: vec![EMPTY; cap],
             mask: cap - 1,
+            shift: 64 - cap.trailing_zeros(),
             limit,
+            #[cfg(test)]
+            probes: 0,
         }
     }
 
@@ -112,8 +125,12 @@ impl StateInterner {
         if self.arena.len() * 4 >= self.table.len() * 3 {
             self.grow();
         }
-        let mut i = (fx_hash_words(key) as usize) & self.mask;
+        let mut i = home_slot(key, self.shift);
         loop {
+            #[cfg(test)]
+            {
+                self.probes += 1;
+            }
             let slot = self.table[i];
             if slot == EMPTY {
                 if self.at_capacity() {
@@ -133,9 +150,10 @@ impl StateInterner {
     fn grow(&mut self) {
         let cap = self.table.len() * 2;
         let mask = cap - 1;
+        let shift = 64 - cap.trailing_zeros();
         let mut table = vec![EMPTY; cap];
         for id in 0..self.arena.len() as u32 {
-            let mut i = (fx_hash_words(self.arena.row(id)) as usize) & mask;
+            let mut i = home_slot(self.arena.row(id), shift);
             while table[i] != EMPTY {
                 i = (i + 1) & mask;
             }
@@ -143,7 +161,15 @@ impl StateInterner {
         }
         self.table = table;
         self.mask = mask;
+        self.shift = shift;
     }
+}
+
+/// The home slot of `key` in a table of `2^(64 − shift)` slots: the top
+/// bits of its hash (see the module docs for why not the low ones).
+#[inline]
+fn home_slot(key: &[u64], shift: u32) -> usize {
+    (fx_hash_words(key) >> shift) as usize
 }
 
 #[cfg(test)]
@@ -200,6 +226,34 @@ mod tests {
         fn arena_width(&self) -> usize {
             self.arena.width()
         }
+    }
+
+    /// Mean table slots inspected per `intern` call when every key is
+    /// interned once (fresh) and then looked up once more (hit).
+    fn mean_probes(width: usize, keys: impl Iterator<Item = Vec<u64>>) -> f64 {
+        let keys: Vec<Vec<u64>> = keys.collect();
+        let mut interner = StateInterner::new(width);
+        for pass in 0..2 {
+            for (i, key) in keys.iter().enumerate() {
+                assert_eq!(interner.intern(key), (i as u32, pass == 0));
+            }
+        }
+        interner.probes as f64 / (2 * keys.len()) as f64
+    }
+
+    /// Keys that differ only above bit 40 — alive sets that agree on their
+    /// low-index vertices — must spread over the table. A slot taken from
+    /// the low hash bits puts every one of them in a single probe run.
+    #[test]
+    fn keys_differing_only_in_high_bits_probe_few_slots() {
+        const KEYS: u64 = 20_000;
+        let one_word = mean_probes(1, (0..KEYS).map(|i| vec![(i << 41) | 0x1F]));
+        assert!(one_word <= 4.0, "1-word keys: {one_word:.1} probes per intern");
+        let three_words = mean_probes(
+            3,
+            (0..KEYS).map(|i| vec![u64::MAX, 0x00FF_00FF, (i << 41) | 0x7]),
+        );
+        assert!(three_words <= 4.0, "3-word keys: {three_words:.1} probes per intern");
     }
 
     /// At the id-space limit, fresh keys are refused (`None`) while

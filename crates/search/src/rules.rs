@@ -1,7 +1,7 @@
 //! Reduction rules (§4.4.3) and pruning rule 2 (§4.4.5) shared by the
 //! branch-and-bound and A\* searches.
 
-use ghd_hypergraph::{BitSet, EliminationGraph};
+use ghd_hypergraph::EliminationGraph;
 
 /// Finds a vertex that may be eliminated next without loss of optimality for
 /// treewidth: a *simplicial* vertex (Definition 22), or a *strongly almost
@@ -58,25 +58,22 @@ pub fn swappable_ghw(eg: &EliminationGraph, a: usize, b: usize) -> bool {
     !eg.has_edge(a, b)
 }
 
-/// Computes, for the child state reached by eliminating `a` from the current
-/// graph, the set of grandchild vertices *not* pruned by PR2. The canonical
-/// survivor among a swappable pair is the branch eliminating the
-/// smaller-indexed vertex first: `b` (eliminated right after `a`) is pruned
+/// The successor candidates of the child state reached by eliminating `a`,
+/// computed in the parent graph `eg`, where pruning rule 2 must be
+/// evaluated: every other alive vertex, in increasing order. With
+/// `swappable`, PR2 keeps the branch eliminating the smaller-indexed vertex
+/// first among a swappable pair: `b` (eliminated right after `a`) is pruned
 /// iff `swappable(a, b)` and `b < a`.
-pub fn pr2_allowed_children(
+pub fn child_successors(
     eg: &EliminationGraph,
     a: usize,
-    swappable: impl Fn(&EliminationGraph, usize, usize) -> bool,
-) -> BitSet {
-    let mut allowed = eg.alive().clone();
-    allowed.remove(a);
-    let candidates = allowed.clone();
-    for b in candidates.iter() {
-        if b < a && swappable(eg, a, b) {
-            allowed.remove(b);
-        }
-    }
-    allowed
+    swappable: Option<impl Fn(&EliminationGraph, usize, usize) -> bool>,
+) -> Vec<u32> {
+    eg.alive()
+        .iter()
+        .filter(|&b| b != a && !(b < a && swappable.as_ref().is_some_and(|sw| sw(eg, a, b))))
+        .map(|b| b as u32)
+        .collect()
 }
 
 #[cfg(test)]
@@ -128,15 +125,12 @@ mod tests {
     #[test]
     fn pr2_allowed_prunes_smaller_swappable_indices() {
         // path 0-1-2-3: after eliminating 2, vertex 0 (non-adjacent to 2,
-        // index < 2) is pruned; 1 and 3 are adjacent to 2 in the original
-        // graph — 1 remains (adjacent, no private-neighbour pair check
-        // passes? 1's other neighbour is 0, 2's other neighbour is 3 →
-        // swappable, and 1 < 2 → pruned), 3 > 2 stays.
+        // index < 2) is pruned; 1 is adjacent to 2, but 1's other neighbour
+        // is 0 and 2's is 3 → swappable, and 1 < 2 → pruned; 3 > 2 stays.
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
         let eg = EliminationGraph::new(&g);
-        let allowed = pr2_allowed_children(&eg, 2, swappable_tw);
-        assert!(allowed.contains(3));
-        assert!(!allowed.contains(0));
-        assert!(!allowed.contains(1));
+        assert_eq!(child_successors(&eg, 2, Some(swappable_tw)), vec![3]);
+        let no_pr2 = None::<fn(&EliminationGraph, usize, usize) -> bool>;
+        assert_eq!(child_successors(&eg, 2, no_pr2), vec![0, 1, 3]);
     }
 }
