@@ -10,12 +10,12 @@
 use ghd_bench::timer::Harness;
 use ghd_core::setcover::CoverMethod;
 use ghd_hypergraph::generators::{graphs, hypergraphs};
-use ghd_search::{bb_ghw, bb_tw, BbConfig, BbGhwConfig, LbMode, SearchLimits};
+use ghd_search::{bb_ghw, bb_tw, BbConfig, BbGhwConfig, SearchLimits};
 use std::hint::black_box;
 
 fn bench_bb_tw_ablations(hn: &mut Harness) {
     let g = graphs::queen(5); // tw = 18, nontrivial but fast with pruning
-    let configs: [(&str, BbConfig); 4] = [
+    let configs: [(&str, BbConfig); 3] = [
         ("full", BbConfig::default()),
         (
             "no-pr2",
@@ -28,13 +28,6 @@ fn bench_bb_tw_ablations(hn: &mut Harness) {
             "no-reductions",
             BbConfig {
                 use_reductions: false,
-                ..BbConfig::default()
-            },
-        ),
-        (
-            "lb-mmw-only",
-            BbConfig {
-                lb_mode: LbMode::Mmw,
                 ..BbConfig::default()
             },
         ),

@@ -13,8 +13,7 @@ pub mod upper;
 
 pub use ksc::{ghw_lower_bound, k_set_cover_lower_bound, tw_ksc_width, KscTable};
 pub use lower::{
-    degeneracy, minor_gamma_r, minor_min_width, minor_min_width_elim, tw_lower_bound,
-    tw_lower_bound_elim, LbScratch,
+    degeneracy, minor_gamma_r, minor_min_width, tw_lower_bound, tw_lower_bound_elim, LbScratch,
 };
 pub use upper::{
     ghw_upper_bound, ghw_upper_bound_cached, ghw_upper_bound_multistart_cached,

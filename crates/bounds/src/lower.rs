@@ -309,14 +309,6 @@ pub fn tw_lower_bound_elim(eg: &EliminationGraph, scratch: &mut LbScratch) -> us
     scratch.mmw_gamma_r(None::<&mut StdRng>, |s| s.load_elim(eg))
 }
 
-/// [`minor_min_width`] evaluated directly on the residual of an elimination
-/// graph, reusing `scratch`. Returns exactly
-/// `minor_min_width(&eg.to_graph(), None)`.
-pub fn minor_min_width_elim(eg: &EliminationGraph, scratch: &mut LbScratch) -> usize {
-    scratch.load_elim(eg);
-    scratch.mmw(None::<&mut StdRng>)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,9 +503,6 @@ mod tests {
                 let at = format!("seed {seed} after {step} eliminations");
                 assert_eq!(tw, oracle_tw(&residual, None), "tw lb, {at}");
                 assert_eq!(tw, tw_lower_bound::<StdRng>(&residual, None), "tw lb, {at}");
-                let mmw = minor_min_width_elim(&eg, &mut scratch);
-                assert_eq!(mmw, oracle_mmw(&residual, None), "mmw, {at}");
-                assert_eq!(mmw, minor_min_width::<StdRng>(&residual, None), "mmw, {at}");
                 let alive = eg.alive().to_vec();
                 eg.eliminate(alive[pick.random_range(0..alive.len())]);
             }

@@ -14,15 +14,14 @@
 //! Determinism: blocks are enumerated canonically (sorted vertex lists, in
 //! order of smallest vertex), the fan-out preserves input order, and for
 //! exact runs the emitted ordering is re-derived by the sequential witness
-//! reconstruction of [`crate::bb_tw::witness_tw`] /
-//! [`crate::bb_ghw::witness_ghw`] on the *whole* instance — so a split
+//! reconstruction of [`crate::bb::witness_tw`] /
+//! [`crate::bb::witness_ghw`] on the *whole* instance — so a split
 //! run is bit-identical to the monolithic sequential search for any
 //! thread count. Anytime runs (budget expiry, cancellation, double
 //! faults) fall back to a stitched ordering whose width is re-verified
 //! before it is claimed.
 
-use crate::bb_ghw::{bb_ghw_budgeted, witness_ghw, BbGhwConfig};
-use crate::bb_tw::{bb_tw_budgeted, witness_tw, BbConfig};
+use crate::bb::{bb_ghw_budgeted, bb_tw_budgeted, witness_ghw, witness_tw, BbConfig, BbGhwConfig};
 use crate::common::{Budget, SearchResult, SearchStats};
 use crate::preprocess::preprocess_tw;
 use ghd_core::eval::TwEvaluator;
@@ -567,7 +566,7 @@ pub fn split_tw(
         let result = if threads == 1 {
             bb_tw_budgeted(g, cfg, &budget)
         } else {
-            crate::bb_tw::bb_tw_parallel(g, cfg, threads)
+            crate::bb::bb_tw_parallel(g, cfg, threads)
         };
         report.blocks.push(BlockOutcome {
             size: g.num_vertices(),
@@ -773,7 +772,7 @@ fn degraded_ghw_unit(unit: &GhwUnit) -> Solved {
 /// (`0` = all cores) against one shared [`Budget`] and concatenated —
 /// components are independent in the primal graph, so the combined width
 /// is the maximum. Exact results are bit-identical to the monolithic
-/// sequential [`crate::bb_ghw`] via witness reconstruction on the whole
+/// sequential [`crate::bb_ghw()`] via witness reconstruction on the whole
 /// instance.
 pub fn split_ghw(
     h: &Hypergraph,
@@ -807,7 +806,7 @@ pub fn split_ghw(
         let result = if threads == 1 {
             bb_ghw_budgeted(h, cfg, &budget)
         } else {
-            crate::bb_ghw::bb_ghw_parallel(h, cfg, threads)
+            crate::bb::bb_ghw_parallel(h, cfg, threads)
         };
         report.blocks.push(BlockOutcome {
             size: n,

@@ -15,7 +15,7 @@ echo "==> cargo test (offline)"
 cargo test --offline -q --workspace
 
 echo "==> cargo test (search crates, release optimisation + debug assertions)"
-cargo test --offline -q --profile relassert -p ghd-par -p ghd-search -p ghd-ga -p ghd-serve
+cargo test --offline -q --profile relassert -p ghd -p ghd-par -p ghd-search -p ghd-ga -p ghd-serve
 
 echo "==> clippy -D warnings (whole workspace, all targets)"
 cargo clippy --offline -q --workspace --all-targets -- -D warnings
