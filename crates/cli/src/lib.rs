@@ -23,16 +23,18 @@
 //! contents to an output string, so the test suite drives them directly.
 
 use ghd_bounds::{ghw_lower_bound, ghw_upper_bound, tw_lower_bound, tw_upper_bound};
-use ghd_core::bucket::ghd_from_ordering;
+use ghd_core::bucket::{ghd_from_ordering, vertex_elimination};
 use ghd_core::io::{parse_td, write_ghd, write_td};
-use ghd_core::{CoverMethod, EliminationOrdering};
+use ghd_core::{
+    CoverMethod, EliminationOrdering, GeneralizedHypertreeDecomposition, TreeDecomposition,
+};
 use ghd_ga::{ga_ghw, ga_tw, sa_ghw, sa_tw, saiga_ghw, GaConfig, SaConfig, SaigaConfig};
 use ghd_hypergraph::generators::{graphs, hypergraphs};
 use ghd_hypergraph::{io, Graph, Hypergraph};
 use ghd_search::{
     astar_ghw, astar_tw, bb_ghw, bb_ghw_parallel, bb_tw, bb_tw_parallel, split_ghw, split_tw,
-    BbConfig, BbGhwConfig, BlockSolution, BlockStore, CancelToken, SearchLimits, SplitReport,
-    StealConfig,
+    BbConfig, BbGhwConfig, BlockSolution, BlockStore, CancelToken, SearchLimits, SearchResult,
+    SplitOutcome, SplitReport, StealConfig,
 };
 use std::time::Duration;
 
@@ -120,8 +122,7 @@ pub type CmdResult = Result<String, CmdError>;
 pub fn run(args: &[String]) -> CmdResult {
     match args.first().map(String::as_str) {
         Some("gen") => cmd_gen(&args[1..]),
-        Some("tw") => cmd_tw(&args[1..]),
-        Some("ghw") => cmd_ghw(&args[1..]),
+        Some(cmd @ ("tw" | "ghw")) => cmd_solve(cmd, &args[1..]),
         Some("bounds") => cmd_bounds(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
@@ -387,36 +388,47 @@ fn stats_format<'a>(opts: &[(&'a str, Option<&'a str>)]) -> Result<Option<&'a st
 /// `<=` for heuristic upper bounds). A failure here is a bug in the search
 /// — it surfaces as a loud [`ErrorKind::Internal`] instead of a silently
 /// wrong number. Cost: one `O(n·w)` elimination plus an `O(|T|·w)` verify.
-fn certify_tw(g: &Graph, ordering: &[usize], claimed: usize, exact: bool) -> Result<(), CmdError> {
-    let sigma = EliminationOrdering::new(ordering.to_vec())
-        .ok_or_else(|| CmdError::internal("certificate rejected: ordering is not a permutation"))?;
-    let td = ghd_core::bucket::vertex_elimination(g, &sigma);
-    td.verify_graph(g)
-        .map_err(|e| CmdError::internal(format!("certificate rejected: {e}")))?;
-    let w = td.width();
-    if if exact { w != claimed } else { w > claimed } {
-        return Err(CmdError::internal(format!(
-            "certificate rejected: decomposition has width {w}, claimed {claimed}"
-        )));
-    }
-    Ok(())
+/// Returns the verified decomposition (what `--td` prints).
+fn certify_tw(
+    g: &Graph,
+    ordering: &[usize],
+    claimed: usize,
+    exact: bool,
+) -> Result<TreeDecomposition, CmdError> {
+    let td = vertex_elimination(g, &permutation(ordering)?);
+    supports(td.verify_graph(g), td.width(), claimed, exact)?;
+    Ok(td)
 }
 
 /// Self-certification for ghw claims: rebuilds a GHD from the ordering
 /// (exact covers), verifies Definition 13 against the hypergraph, and
-/// checks the claimed width is supported. See [`certify_tw`].
+/// checks the claimed width is supported. See [`certify_tw`]. Returns the
+/// verified GHD (what `--show` prints).
 fn certify_ghw(
     h: &Hypergraph,
     ordering: &[usize],
     claimed: usize,
     exact: bool,
+) -> Result<GeneralizedHypertreeDecomposition, CmdError> {
+    let ghd = ghd_from_ordering(h, &permutation(ordering)?, CoverMethod::Exact);
+    supports(ghd.verify(h), ghd.width(), claimed, exact)?;
+    Ok(ghd)
+}
+
+fn permutation(ordering: &[usize]) -> Result<EliminationOrdering, CmdError> {
+    EliminationOrdering::new(ordering.to_vec())
+        .ok_or_else(|| CmdError::internal("certificate rejected: ordering is not a permutation"))
+}
+
+/// The verdict of a rebuilt decomposition of width `w`: valid, and `w`
+/// supports the claim (equal when `exact`, at most otherwise).
+fn supports(
+    valid: Result<(), ghd_core::DecompositionError>,
+    w: usize,
+    claimed: usize,
+    exact: bool,
 ) -> Result<(), CmdError> {
-    let sigma = EliminationOrdering::new(ordering.to_vec())
-        .ok_or_else(|| CmdError::internal("certificate rejected: ordering is not a permutation"))?;
-    let ghd = ghd_from_ordering(h, &sigma, CoverMethod::Exact);
-    ghd.verify(h)
-        .map_err(|e| CmdError::internal(format!("certificate rejected: {e}")))?;
-    let w = ghd.width();
+    valid.map_err(|e| CmdError::internal(format!("certificate rejected: {e}")))?;
     if if exact { w != claimed } else { w > claimed } {
         return Err(CmdError::internal(format!(
             "certificate rejected: decomposition has width {w}, claimed {claimed}"
@@ -425,29 +437,23 @@ fn certify_ghw(
     Ok(())
 }
 
-/// Identity of the solved instance as it appears in `--stats json`.
-struct JsonHeader<'a> {
-    problem: &'a str,
-    method: &'a str,
-    vertices: usize,
-    edges: usize,
-}
-
-/// Renders a [`ghd_search::SearchResult`] (with its telemetry) as a single
-/// JSON object — the machine-readable face of `--stats json`.
+/// Renders a [`SearchResult`] of `method` on `p` (with its telemetry) as a
+/// single JSON object — the machine-readable face of `--stats json`.
 fn search_json(
-    hdr: &JsonHeader<'_>,
-    r: &ghd_search::SearchResult,
+    p: &Problem,
+    method: &str,
+    r: &SearchResult,
     certified: bool,
     cancelled: bool,
     split: Option<&SplitReport>,
 ) -> String {
     use std::fmt::Write as _;
     let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"problem\": \"{}\",", ghd_core::json::escape(hdr.problem));
-    let _ = writeln!(s, "  \"method\": \"{}\",", ghd_core::json::escape(hdr.method));
-    let _ = writeln!(s, "  \"vertices\": {},", hdr.vertices);
-    let _ = writeln!(s, "  \"edges\": {},", hdr.edges);
+    let (vertices, edges) = p.size();
+    let _ = writeln!(s, "  \"problem\": \"{}\",", ghd_core::json::escape(p.name()));
+    let _ = writeln!(s, "  \"method\": \"{}\",", ghd_core::json::escape(method));
+    let _ = writeln!(s, "  \"vertices\": {vertices},");
+    let _ = writeln!(s, "  \"edges\": {edges},");
     let _ = writeln!(s, "  \"lower_bound\": {},", r.lower_bound);
     let _ = writeln!(s, "  \"upper_bound\": {},", r.upper_bound);
     let _ = writeln!(s, "  \"exact\": {},", r.exact);
@@ -576,8 +582,8 @@ fn search_json(
 /// A fully rendered solve answer plus the metadata `ghd-serve` needs for
 /// cache admission and telemetry. `body` is byte-identical to what the
 /// one-shot CLI prints for the same instance text and flags — both paths
-/// run through [`solve_tw_text`] / [`solve_ghw_text`], so the identity
-/// holds by construction, not by convention.
+/// run through [`solve_text`], so the identity holds by construction, not
+/// by convention.
 pub struct SolveReport {
     /// Complete stdout of the command (summary, optional decomposition).
     pub body: String,
@@ -601,406 +607,259 @@ pub struct SolveReport {
     pub cancelled: bool,
 }
 
-fn cmd_tw(args: &[String]) -> CmdResult {
+fn cmd_solve(cmd: &str, args: &[String]) -> CmdResult {
     let (pos, _) = split_opts(args);
-    let path = *pos.first().ok_or("tw <graph-file> — see `ghd --help`")?;
+    let file = if cmd == "tw" { "graph" } else { "hypergraph" };
+    let path = *pos.first().ok_or_else(|| format!("{cmd} <{file}-file> — see `ghd --help`"))?;
     let text = read_file(path)?;
-    Ok(solve_tw_text(&text, args)?.body)
+    Ok(solve_text(cmd, &text, args, CancelToken::default(), None)?.body)
 }
 
-/// Solves a treewidth request from instance *text* + flags (positionals in
-/// `args` are ignored). This is the whole of `ghd tw` after file loading;
-/// `ghd-serve` calls it directly so daemon answers match the one-shot CLI
-/// byte for byte.
+/// Solves a treewidth request from instance *text* + flags: [`solve_text`]
+/// for `tw`, without cancellation or block store.
 pub fn solve_tw_text(text: &str, args: &[String]) -> Result<SolveReport, CmdError> {
-    solve_tw_text_with_cancel(text, args, CancelToken::default())
+    solve_text("tw", text, args, CancelToken::default(), None)
 }
 
-/// [`solve_tw_text`] with a cooperative cancellation token threaded into
-/// the search budget. `ghd-serve` arms one token per in-flight request so
-/// a `cancel` verb (or shutdown signal) stops the search at its next
-/// periodic budget draw; the one-shot CLI passes the inert default, which
-/// costs nothing on the hot path and never fires.
-pub fn solve_tw_text_with_cancel(
-    text: &str,
-    args: &[String],
-    cancel: CancelToken,
-) -> Result<SolveReport, CmdError> {
-    solve_tw_text_with_store(text, args, cancel, None)
-}
-
-/// [`solve_tw_text_with_cancel`] plus an optional cross-instance
-/// [`BlockStore`]: `ghd-serve` passes its per-block decomposition cache so
-/// exact block solutions are shared across requests. A store hit replays a
-/// previously verified block solution; it never alters the response body —
-/// the witness reconstruction runs on the whole instance either way.
-pub fn solve_tw_text_with_store(
-    text: &str,
-    args: &[String],
-    cancel: CancelToken,
-    store: Option<&dyn BlockStore>,
-) -> Result<SolveReport, CmdError> {
-    let (_, opts) = split_opts(args);
-    let g = load_graph(text)?;
-    let method = opt(&opts, "method").unwrap_or("astar");
-    let limits = limits_from(&opts)?.with_cancel(cancel.clone());
-    let parallel = steal_opts(&opts, method)?;
-    let no_split = split_off(&opts, method)?;
-    let run_bb = |limits: SearchLimits| -> (ghd_search::SearchResult, Option<SplitReport>) {
-        let (threads, steal) = parallel.unwrap_or((1, StealConfig::default()));
-        let cfg = BbConfig { limits, steal, ..BbConfig::default() };
-        if no_split {
-            let r = match parallel {
-                Some((t, _)) => bb_tw_parallel(&g, &cfg, t),
-                None => bb_tw(&g, &cfg),
-            };
-            (r, None)
-        } else {
-            let o = split_tw(&g, &cfg, threads, store);
-            (o.result, Some(o.report))
-        }
-    };
-    if stats_format(&opts)?.is_some() {
-        let (r, split) = match method {
-            "astar" => (astar_tw(&g, limits), None),
-            "bb" => run_bb(limits),
-            other => {
-                return Err(CmdError::usage(format!("--stats json requires --method astar|bb (got `{other}`)")))
-            }
-        };
-        let cancelled = !r.exact && cancel.is_cancelled();
-        let certified = match &r.ordering {
-            Some(o) => {
-                certify_tw(&g, o, r.upper_bound, r.exact)?;
-                true
-            }
-            None if r.exact => {
-                return Err(CmdError::internal(
-                    "certificate rejected: exact width without a realising ordering",
-                ))
-            }
-            None => false,
-        };
-        return Ok(SolveReport {
-            body: search_json(
-                &JsonHeader {
-                    problem: "tw",
-                    method,
-                    vertices: g.num_vertices(),
-                    edges: g.num_edges(),
-                },
-                &r,
-                certified,
-                cancelled,
-                split.as_ref(),
-            ),
-            width: r.upper_bound,
-            exact: r.exact,
-            certified,
-            cacheable: false, // stats bodies embed wall-clock telemetry
-            nodes_expanded: r.nodes_expanded,
-            faults: r.faults.len(),
-            cancelled,
-        });
-    }
-    let (summary, claimed, exact, ordering, nodes, faults, cancelled) = match method {
-        "astar" => {
-            let r = astar_tw(&g, limits);
-            let cancelled = !r.exact && cancel.is_cancelled();
-            (
-                describe("A*-tw", r.upper_bound, r.lower_bound, r.exact, cancelled),
-                r.upper_bound,
-                r.exact,
-                r.ordering,
-                r.nodes_expanded,
-                r.faults.len(),
-                cancelled,
-            )
-        }
-        "bb" => {
-            let (r, _) = run_bb(limits);
-            let cancelled = !r.exact && cancel.is_cancelled();
-            (
-                describe("BB-tw", r.upper_bound, r.lower_bound, r.exact, cancelled),
-                r.upper_bound,
-                r.exact,
-                r.ordering,
-                r.nodes_expanded,
-                r.faults.len(),
-                cancelled,
-            )
-        }
-        "ga" => {
-            let r = ga_tw(&g, &ga_cfg(&opts)?);
-            (
-                format!("GA-tw: width <= {}", r.best_width),
-                r.best_width,
-                false,
-                Some(r.best_ordering),
-                0,
-                0,
-                false,
-            )
-        }
-        "sa" => {
-            let r = sa_tw(&g, &SaConfig { seed: seed_of(&opts)?, ..SaConfig::default() });
-            (
-                format!("SA-tw: width <= {}", r.best_width),
-                r.best_width,
-                false,
-                Some(r.best_ordering),
-                0,
-                0,
-                false,
-            )
-        }
-        "minfill" => {
-            let (w, o) = tw_upper_bound::<ghd_prng::rngs::StdRng>(&g, None);
-            (format!("min-fill: width <= {w}"), w, false, Some(o.into_vec()), 0, 0, false)
-        }
-        other => return Err(CmdError::usage(format!("unknown method `{other}`"))),
-    };
-    // verify-on-emit: no width is printed unless its certificate passes
-    let certified = match &ordering {
-        Some(o) => {
-            certify_tw(&g, o, claimed, exact)?;
-            true
-        }
-        None if exact => {
-            return Err(CmdError::internal(
-                "certificate rejected: exact width without a realising ordering",
-            ))
-        }
-        None => false,
-    };
-    let mut out = format!(
-        "graph: {} vertices, {} edges\n{summary}\n",
-        g.num_vertices(),
-        g.num_edges()
-    );
-    if flag(&opts, "td") {
-        let o = ordering.ok_or("no ordering available to emit a decomposition")?;
-        let sigma = EliminationOrdering::new(o).ok_or("internal: bad ordering")?;
-        let td = ghd_core::bucket::vertex_elimination(&g, &sigma);
-        out.push_str(&write_td(&td));
-    }
-    Ok(SolveReport {
-        body: out,
-        width: claimed,
-        exact,
-        certified,
-        cacheable: exact && certified,
-        nodes_expanded: nodes,
-        faults,
-        cancelled,
-    })
-}
-
-fn cmd_ghw(args: &[String]) -> CmdResult {
-    let (pos, _) = split_opts(args);
-    let path = *pos.first().ok_or("ghw <hypergraph-file> — see `ghd --help`")?;
-    let text = read_file(path)?;
-    Ok(solve_ghw_text(&text, args)?.body)
-}
-
-/// Solves a ghw request from instance *text* + flags; the `ghw` twin of
-/// [`solve_tw_text`].
+/// Solves a ghw request from instance *text* + flags: [`solve_text`] for
+/// `ghw`, without cancellation or block store.
 pub fn solve_ghw_text(text: &str, args: &[String]) -> Result<SolveReport, CmdError> {
-    solve_ghw_text_with_cancel(text, args, CancelToken::default())
+    solve_text("ghw", text, args, CancelToken::default(), None)
 }
 
-/// [`solve_ghw_text`] with a cooperative cancellation token; the `ghw`
-/// twin of [`solve_tw_text_with_cancel`].
-pub fn solve_ghw_text_with_cancel(
-    text: &str,
-    args: &[String],
-    cancel: CancelToken,
-) -> Result<SolveReport, CmdError> {
-    solve_ghw_text_with_store(text, args, cancel, None)
+/// A parsed solve instance: the per-problem half of [`solve_text`].
+enum Problem {
+    Tw(Graph),
+    Ghw(Hypergraph),
 }
 
-/// [`solve_ghw_text_with_cancel`] plus an optional cross-instance
-/// [`BlockStore`]; the `ghw` twin of [`solve_tw_text_with_store`].
-pub fn solve_ghw_text_with_store(
+impl Problem {
+    /// Parses the instance text of the solve command `cmd`.
+    fn parse(cmd: &str, text: &str) -> Result<Problem, CmdError> {
+        match cmd {
+            "tw" => load_graph(text).map(Problem::Tw),
+            "ghw" => io::parse_hypergraph(text).map(Problem::Ghw).map_err(CmdError::data),
+            other => Err(CmdError::usage(format!("unknown solve command `{other}`"))),
+        }
+    }
+
+    /// Parses a file of either kind: hypergraph syntax when it has a `(`.
+    fn sniff(text: &str) -> Result<Problem, CmdError> {
+        Problem::parse(if text.contains('(') { "ghw" } else { "tw" }, text)
+    }
+
+    /// The instance re-serialized by the workspace writers, and its hash.
+    fn canonical(&self) -> (String, u64) {
+        match self {
+            Problem::Tw(g) => (io::write_dimacs(g), ghd_core::canon::graph_hash(g)),
+            Problem::Ghw(h) => (io::write_hypergraph(h), ghd_core::canon::hypergraph_hash(h)),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Problem::Tw(_) => "tw",
+            Problem::Ghw(_) => "ghw",
+        }
+    }
+
+    /// The flag that prints the certified decomposition.
+    fn render_flag(&self) -> &'static str {
+        match self {
+            Problem::Tw(_) => "td",
+            Problem::Ghw(_) => "show",
+        }
+    }
+
+    /// `(vertices, edges)`.
+    fn size(&self) -> (usize, usize) {
+        match self {
+            Problem::Tw(g) => (g.num_vertices(), g.num_edges()),
+            Problem::Ghw(h) => (h.num_vertices(), h.num_edges()),
+        }
+    }
+
+    /// The first line of a text answer.
+    fn header(&self) -> String {
+        let (v, e) = self.size();
+        match self {
+            Problem::Tw(_) => format!("graph: {v} vertices, {e} edges"),
+            Problem::Ghw(_) => format!("hypergraph: {v} vertices, {e} hyperedges"),
+        }
+    }
+
+    fn astar(&self, limits: SearchLimits) -> SearchResult {
+        match self {
+            Problem::Tw(g) => astar_tw(g, limits),
+            Problem::Ghw(h) => astar_ghw(h, limits),
+        }
+    }
+
+    /// Branch and bound: split along safe separators unless `no_split`,
+    /// work-stealing when `parallel` is set.
+    fn bb(
+        &self,
+        limits: SearchLimits,
+        parallel: Option<(usize, StealConfig)>,
+        no_split: bool,
+        store: Option<&dyn BlockStore>,
+    ) -> (SearchResult, Option<SplitReport>) {
+        let (threads, steal) = parallel.unwrap_or((1, StealConfig::default()));
+        let split = |o: SplitOutcome| (o.result, Some(o.report));
+        match self {
+            Problem::Tw(g) => {
+                let cfg = BbConfig { limits, steal, ..BbConfig::default() };
+                match (no_split, parallel) {
+                    (false, _) => split(split_tw(g, &cfg, threads, store)),
+                    (true, Some(_)) => (bb_tw_parallel(g, &cfg, threads), None),
+                    (true, None) => (bb_tw(g, &cfg), None),
+                }
+            }
+            Problem::Ghw(h) => {
+                let cfg = BbGhwConfig { limits, steal, ..BbGhwConfig::default() };
+                match (no_split, parallel) {
+                    (false, _) => split(split_ghw(h, &cfg, threads, store)),
+                    (true, Some(_)) => (bb_ghw_parallel(h, &cfg, threads), None),
+                    (true, None) => (bb_ghw(h, &cfg), None),
+                }
+            }
+        }
+    }
+
+    /// Runs a heuristic `method`: its summary line, width and ordering.
+    fn heuristic(
+        &self,
+        method: &str,
+        opts: &[(&str, Option<&str>)],
+    ) -> Result<(String, usize, Vec<usize>), CmdError> {
+        let sa = || -> Result<SaConfig, String> {
+            Ok(SaConfig { seed: seed_of(opts)?, ..SaConfig::default() })
+        };
+        let (name, r) = match (self, method) {
+            (Problem::Tw(g), "ga") => ("GA-tw", ga_tw(g, &ga_cfg(opts)?)),
+            (Problem::Tw(g), "sa") => ("SA-tw", sa_tw(g, &sa()?)),
+            (Problem::Ghw(h), "ga") => ("GA-ghw", ga_ghw(h, &ga_cfg(opts)?)),
+            (Problem::Ghw(h), "sa") => ("SA-ghw", sa_ghw(h, &sa()?)),
+            (Problem::Ghw(h), "saiga") => {
+                let cfg = SaigaConfig { seed: seed_of(opts)?, ..SaigaConfig::default() };
+                ("SAIGA-ghw", saiga_ghw(h, &cfg).result)
+            }
+            (Problem::Tw(g), "minfill") => {
+                let (w, o) = tw_upper_bound::<ghd_prng::rngs::StdRng>(g, None);
+                return Ok((format!("min-fill: width <= {w}"), w, o.into_vec()));
+            }
+            (Problem::Ghw(h), "greedy") => {
+                let (w, o) = ghw_upper_bound::<ghd_prng::rngs::StdRng>(h, None);
+                return Ok((format!("min-fill + greedy cover: width <= {w}"), w, o.into_vec()));
+            }
+            (_, other) => return Err(CmdError::usage(format!("unknown method `{other}`"))),
+        };
+        Ok((format!("{name}: width <= {}", r.best_width), r.best_width, r.best_ordering))
+    }
+
+    /// Certifies `ordering` for the claim (see [`certify_tw`] /
+    /// [`certify_ghw`]) and, when `render`, returns the certified
+    /// decomposition in the format the render flag prints.
+    fn certify(
+        &self,
+        ordering: &[usize],
+        claimed: usize,
+        exact: bool,
+        render: bool,
+    ) -> Result<Option<String>, CmdError> {
+        Ok(match self {
+            Problem::Tw(g) => {
+                let td = certify_tw(g, ordering, claimed, exact)?;
+                render.then(|| write_td(&td))
+            }
+            Problem::Ghw(h) => {
+                let ghd = certify_ghw(h, ordering, claimed, exact)?;
+                render.then(|| write_ghd(&ghd, h))
+            }
+        })
+    }
+}
+
+/// Solves a `tw` or `ghw` request (`cmd`) from instance *text* + flags
+/// (positionals in `args` are ignored): the whole of `ghd tw` / `ghd ghw`
+/// after file loading. `ghd-serve` calls it directly, so daemon answers
+/// match the one-shot CLI byte for byte; it arms `cancel` per request (a
+/// `cancel` verb or shutdown signal stops the search at its next budget
+/// draw; the CLI's inert default never fires) and passes its per-block
+/// decomposition cache as `store`. A store hit replays a verified block
+/// solution and never alters the body — the witness reconstruction runs
+/// on the whole instance either way.
+pub fn solve_text(
+    cmd: &str,
     text: &str,
     args: &[String],
     cancel: CancelToken,
     store: Option<&dyn BlockStore>,
 ) -> Result<SolveReport, CmdError> {
     let (_, opts) = split_opts(args);
-    let h = io::parse_hypergraph(text).map_err(CmdError::data)?;
+    let p = Problem::parse(cmd, text)?;
     let method = opt(&opts, "method").unwrap_or("astar");
     let limits = limits_from(&opts)?.with_cancel(cancel.clone());
     let parallel = steal_opts(&opts, method)?;
     let no_split = split_off(&opts, method)?;
-    let run_bb = |limits: SearchLimits| -> (ghd_search::SearchResult, Option<SplitReport>) {
-        let (threads, steal) = parallel.unwrap_or((1, StealConfig::default()));
-        let cfg = BbGhwConfig { limits, steal, ..BbGhwConfig::default() };
-        if no_split {
-            let r = match parallel {
-                Some((t, _)) => bb_ghw_parallel(&h, &cfg, t),
-                None => bb_ghw(&h, &cfg),
-            };
-            (r, None)
-        } else {
-            let o = split_ghw(&h, &cfg, threads, store);
-            (o.result, Some(o.report))
-        }
-    };
-    if stats_format(&opts)?.is_some() {
-        let (r, split) = match method {
-            "astar" => (astar_ghw(&h, limits), None),
-            "bb" => run_bb(limits),
-            other => {
-                return Err(CmdError::usage(format!("--stats json requires --method astar|bb (got `{other}`)")))
-            }
-        };
-        let cancelled = !r.exact && cancel.is_cancelled();
-        let certified = match &r.ordering {
-            Some(o) => {
-                certify_ghw(&h, o, r.upper_bound, r.exact)?;
-                true
-            }
-            None if r.exact => {
-                return Err(CmdError::internal(
-                    "certificate rejected: exact width without a realising ordering",
-                ))
-            }
-            None => false,
-        };
-        return Ok(SolveReport {
-            body: search_json(
-                &JsonHeader {
-                    problem: "ghw",
-                    method,
-                    vertices: h.num_vertices(),
-                    edges: h.num_edges(),
-                },
-                &r,
-                certified,
-                cancelled,
-                split.as_ref(),
-            ),
-            width: r.upper_bound,
-            exact: r.exact,
-            certified,
-            cacheable: false, // stats bodies embed wall-clock telemetry
-            nodes_expanded: r.nodes_expanded,
-            faults: r.faults.len(),
-            cancelled,
-        });
-    }
-    let (summary, claimed, exact, ordering, nodes, faults, cancelled) = match method {
-        "astar" => {
-            let r = astar_ghw(&h, limits);
-            let cancelled = !r.exact && cancel.is_cancelled();
-            (
-                describe("A*-ghw", r.upper_bound, r.lower_bound, r.exact, cancelled),
-                r.upper_bound,
-                r.exact,
-                r.ordering,
-                r.nodes_expanded,
-                r.faults.len(),
-                cancelled,
-            )
-        }
+    let json = stats_format(&opts)?.is_some();
+    let (mut search, split) = match method {
+        "astar" => (Some(p.astar(limits)), None),
         "bb" => {
-            let (r, _) = run_bb(limits);
-            let cancelled = !r.exact && cancel.is_cancelled();
-            (
-                describe("BB-ghw", r.upper_bound, r.lower_bound, r.exact, cancelled),
-                r.upper_bound,
-                r.exact,
-                r.ordering,
-                r.nodes_expanded,
-                r.faults.len(),
-                cancelled,
-            )
+            let (r, split) = p.bb(limits, parallel, no_split, store);
+            (Some(r), split)
         }
-        "ga" => {
-            let r = ga_ghw(&h, &ga_cfg(&opts)?);
-            (
-                format!("GA-ghw: width <= {}", r.best_width),
-                r.best_width,
-                false,
-                Some(r.best_ordering),
-                0,
-                0,
-                false,
-            )
+        other if json => {
+            return Err(CmdError::usage(format!(
+                "--stats json requires --method astar|bb (got `{other}`)"
+            )))
         }
-        "saiga" => {
-            let r = saiga_ghw(&h, &SaigaConfig { seed: seed_of(&opts)?, ..SaigaConfig::default() });
-            (
-                format!("SAIGA-ghw: width <= {}", r.result.best_width),
-                r.result.best_width,
-                false,
-                Some(r.result.best_ordering),
-                0,
-                0,
-                false,
-            )
+        _ => (None, None),
+    };
+    let cancelled = search.as_ref().is_some_and(|r| !r.exact && cancel.is_cancelled());
+    let (summary, claimed, exact, ordering) = match &mut search {
+        Some(r) => {
+            let label = format!("{}-{}", if method == "astar" { "A*" } else { "BB" }, p.name());
+            let summary = describe(&label, r.upper_bound, r.lower_bound, r.exact, cancelled);
+            (summary, r.upper_bound, r.exact, r.ordering.take())
         }
-        "sa" => {
-            let r = sa_ghw(&h, &SaConfig { seed: seed_of(&opts)?, ..SaConfig::default() });
-            (
-                format!("SA-ghw: width <= {}", r.best_width),
-                r.best_width,
-                false,
-                Some(r.best_ordering),
-                0,
-                0,
-                false,
-            )
+        None => {
+            let (summary, width, ordering) = p.heuristic(method, &opts)?;
+            (summary, width, false, Some(ordering))
         }
-        "greedy" => {
-            let (w, o) = ghw_upper_bound::<ghd_prng::rngs::StdRng>(&h, None);
-            (
-                format!("min-fill + greedy cover: width <= {w}"),
-                w,
-                false,
-                Some(o.into_vec()),
-                0,
-                0,
-                false,
-            )
-        }
-        other => return Err(CmdError::usage(format!("unknown method `{other}`"))),
     };
     // verify-on-emit: no width is printed unless its certificate passes
-    let certified = match &ordering {
-        Some(o) => {
-            certify_ghw(&h, o, claimed, exact)?;
-            true
-        }
+    let render = !json && flag(&opts, p.render_flag());
+    let rendered = match &ordering {
+        Some(o) => Some(p.certify(o, claimed, exact, render)?),
         None if exact => {
             return Err(CmdError::internal(
                 "certificate rejected: exact width without a realising ordering",
             ))
         }
-        None => false,
+        None => None,
     };
-    let mut out = format!(
-        "hypergraph: {} vertices, {} hyperedges\n{summary}\n",
-        h.num_vertices(),
-        h.num_edges()
-    );
-    if flag(&opts, "show") {
-        let o = ordering.ok_or("no ordering available to emit a decomposition")?;
-        let sigma = EliminationOrdering::new(o).ok_or("internal: bad ordering")?;
-        let ghd = ghd_from_ordering(&h, &sigma, CoverMethod::Exact);
-        ghd.verify(&h)
-            .map_err(|e| CmdError::internal(format!("certificate rejected: {e}")))?;
-        out.push_str(&write_ghd(&ghd, &h));
-    }
+    let certified = rendered.is_some();
+    let body = match &search {
+        Some(r) if json => search_json(&p, method, r, certified, cancelled, split.as_ref()),
+        _ => {
+            let mut out = format!("{}\n{summary}\n", p.header());
+            if render {
+                let d = rendered.flatten();
+                out.push_str(&d.ok_or("no ordering available to emit a decomposition")?);
+            }
+            out
+        }
+    };
     Ok(SolveReport {
-        body: out,
+        body,
         width: claimed,
         exact,
         certified,
-        cacheable: exact && certified,
-        nodes_expanded: nodes,
-        faults,
+        // stats bodies embed wall-clock telemetry
+        cacheable: !json && exact && certified,
+        nodes_expanded: search.as_ref().map_or(0, |r| r.nodes_expanded),
+        faults: search.as_ref().map_or(0, |r| r.faults.len()),
         cancelled,
     })
 }
@@ -1067,9 +926,9 @@ impl BlockStore for BlockCache {
     }
 }
 
-/// The [`ghd_serve::Solver`] backed by this crate's own solve functions
-/// ([`solve_tw_text`] / [`solve_ghw_text`]), so daemon answers match the
-/// one-shot CLI byte for byte. Owns the per-block solution cache the
+/// The [`ghd_serve::Solver`] backed by this crate's own solve function
+/// ([`solve_text`]), so daemon answers match the one-shot CLI byte for
+/// byte. Owns the per-block solution cache the
 /// split layer probes across requests.
 #[derive(Default)]
 pub struct CliSolver {
@@ -1122,17 +981,7 @@ impl ghd_serve::Solver for CliSolver {
         // workspace writers, so comments/whitespace/format never split
         // cache entries; unparseable instances simply go uncached (the
         // solve path reports the parse error)
-        let (canon, hash) = match cmd {
-            "tw" => {
-                let g = load_graph(instance).ok()?;
-                (io::write_dimacs(&g), ghd_core::canon::graph_hash(&g))
-            }
-            "ghw" => {
-                let h = io::parse_hypergraph(instance).ok()?;
-                (io::write_hypergraph(&h), ghd_core::canon::hypergraph_hash(&h))
-            }
-            _ => return None,
-        };
+        let (canon, hash) = Problem::parse(cmd, instance).ok()?.canonical();
         Some(ghd_serve::CacheKey { hash, canon, signature: signature_of(cmd, &opts) })
     }
 
@@ -1144,14 +993,8 @@ impl ghd_serve::Solver for CliSolver {
         cancel: &ghd_serve::CancelFlag,
     ) -> Result<ghd_serve::SolveOutcome, ghd_serve::SolveError> {
         let token = CancelToken::from_flag(std::sync::Arc::clone(cancel));
-        let report = match cmd {
-            "tw" => solve_tw_text_with_store(instance, args, token, Some(&self.blocks)),
-            "ghw" => solve_ghw_text_with_store(instance, args, token, Some(&self.blocks)),
-            other => Err(CmdError::usage(format!("unknown solve command `{other}`"))),
-        }
-        .map_err(|e| ghd_serve::SolveError {
-            code: i64::from(e.exit_code()),
-            message: e.to_string(),
+        let report = solve_text(cmd, instance, args, token, Some(&self.blocks)).map_err(|e| {
+            ghd_serve::SolveError { code: i64::from(e.exit_code()), message: e.to_string() }
         })?;
         Ok(ghd_serve::SolveOutcome {
             body: report.body,
@@ -1174,23 +1017,10 @@ impl ghd_serve::Solver for CliSolver {
     /// payload) fails closed and the record is skipped.
     fn verify_replay(&self, key: &ghd_serve::CacheKey) -> bool {
         let cmd = key.signature.split_whitespace().next().unwrap_or("");
-        match cmd {
-            "tw" => match load_graph(&key.canon) {
-                Ok(g) => {
-                    io::write_dimacs(&g) == key.canon
-                        && ghd_core::canon::graph_hash(&g) == key.hash
-                }
-                Err(_) => false,
-            },
-            "ghw" => match io::parse_hypergraph(&key.canon) {
-                Ok(h) => {
-                    io::write_hypergraph(&h) == key.canon
-                        && ghd_core::canon::hypergraph_hash(&h) == key.hash
-                }
-                Err(_) => false,
-            },
-            _ => false,
-        }
+        Problem::parse(cmd, &key.canon).is_ok_and(|p| {
+            let (canon, hash) = p.canonical();
+            canon == key.canon && hash == key.hash
+        })
     }
 }
 
@@ -1556,26 +1386,18 @@ fn ga_cfg(opts: &[(&str, Option<&str>)]) -> Result<GaConfig, String> {
 fn cmd_bounds(args: &[String]) -> CmdResult {
     let (pos, _) = split_opts(args);
     let path = *pos.first().ok_or("bounds <file> — see `ghd --help`")?;
-    let text = read_file(path)?;
-    // try hypergraph format first when the file smells like one
-    if text.contains('(') {
-        let h = io::parse_hypergraph(&text).map_err(CmdError::data)?;
-        let lb = ghw_lower_bound::<ghd_prng::rngs::StdRng>(&h, None);
-        let (ub, _) = ghw_upper_bound::<ghd_prng::rngs::StdRng>(&h, None);
-        return Ok(format!(
-            "hypergraph: {} vertices, {} hyperedges\n{lb} <= ghw <= {ub}\n",
-            h.num_vertices(),
-            h.num_edges()
-        ));
-    }
-    let g = load_graph(&text)?;
-    let lb = tw_lower_bound::<ghd_prng::rngs::StdRng>(&g, None);
-    let (ub, _) = tw_upper_bound::<ghd_prng::rngs::StdRng>(&g, None);
-    Ok(format!(
-        "graph: {} vertices, {} edges\n{lb} <= tw <= {ub}\n",
-        g.num_vertices(),
-        g.num_edges()
-    ))
+    let p = Problem::sniff(&read_file(path)?)?;
+    let (lb, ub) = match &p {
+        Problem::Tw(g) => (
+            tw_lower_bound::<ghd_prng::rngs::StdRng>(g, None),
+            tw_upper_bound::<ghd_prng::rngs::StdRng>(g, None).0,
+        ),
+        Problem::Ghw(h) => (
+            ghw_lower_bound::<ghd_prng::rngs::StdRng>(h, None),
+            ghw_upper_bound::<ghd_prng::rngs::StdRng>(h, None).0,
+        ),
+    };
+    Ok(format!("{}\n{lb} <= {} <= {ub}\n", p.header(), p.name()))
 }
 
 fn cmd_validate(args: &[String]) -> CmdResult {
@@ -1584,21 +1406,12 @@ fn cmd_validate(args: &[String]) -> CmdResult {
     let td_path = *pos.get(1).ok_or("validate <instance> <td-file>")?;
     let inst_text = read_file(inst_path)?;
     let td = parse_td(&read_file(td_path)?).map_err(CmdError::data)?;
-    if inst_text.contains('(') {
-        let h = io::parse_hypergraph(&inst_text).map_err(CmdError::data)?;
-        td.verify(&h).map_err(|e| CmdError::data(format!("INVALID: {e}")))?;
-        Ok(format!(
-            "valid tree decomposition of the hypergraph; width {}\n",
-            td.width()
-        ))
-    } else {
-        let g = load_graph(&inst_text)?;
-        td.verify_graph(&g).map_err(|e| CmdError::data(format!("INVALID: {e}")))?;
-        Ok(format!(
-            "valid tree decomposition of the graph; width {}\n",
-            td.width()
-        ))
-    }
+    let (valid, kind) = match Problem::sniff(&inst_text)? {
+        Problem::Tw(g) => (td.verify_graph(&g), "graph"),
+        Problem::Ghw(h) => (td.verify(&h), "hypergraph"),
+    };
+    valid.map_err(|e| CmdError::data(format!("INVALID: {e}")))?;
+    Ok(format!("valid tree decomposition of the {kind}; width {}\n", td.width()))
 }
 
 #[cfg(test)]
@@ -1982,7 +1795,7 @@ mod tests {
         let args: Vec<String> = vec!["--method".into(), "bb".into(), "--time".into(), "0".into()];
         let token = CancelToken::arm();
         token.cancel();
-        let report = solve_tw_text_with_cancel(&col, &args, token).unwrap();
+        let report = solve_text("tw", &col, &args, token, None).unwrap();
         assert!(report.cancelled, "{}", report.body);
         assert!(!report.exact);
         assert!(!report.cacheable, "anytime answers never enter the cache");
@@ -1999,7 +1812,7 @@ mod tests {
             ["--method", "bb", "--time", "0", "--stats", "json"].iter().map(|s| s.to_string()).collect();
         let token = CancelToken::arm();
         token.cancel();
-        let report = solve_tw_text_with_cancel(&col, &stats, token).unwrap();
+        let report = solve_text("tw", &col, &stats, token, None).unwrap();
         assert!(report.cancelled);
         assert!(report.body.contains("\"cancelled\": true"), "{}", report.body);
     }

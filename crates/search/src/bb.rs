@@ -63,7 +63,21 @@ impl Default for BbConfig {
     }
 }
 
-impl BbConfig {
+/// A BB configuration over its instance type: it builds the measure the
+/// generic cores run on, plus the measure-independent knobs. The split
+/// layer drives the cores through it as well.
+pub(crate) trait MeasureConfig: Sync {
+    type Inst: Sync;
+    type M<'a>: Measure;
+
+    fn knobs(&self) -> Knobs<'_>;
+    fn measure<'a>(&self, inst: &'a Self::Inst) -> Self::M<'a>;
+}
+
+impl MeasureConfig for BbConfig {
+    type Inst = Graph;
+    type M<'a> = Tw<'a>;
+
     fn knobs(&self) -> Knobs<'_> {
         Knobs {
             limits: &self.limits,
@@ -118,7 +132,10 @@ impl Default for BbGhwConfig {
     }
 }
 
-impl BbGhwConfig {
+impl MeasureConfig for BbGhwConfig {
+    type Inst = Hypergraph;
+    type M<'a> = Ghw<'a>;
+
     fn knobs(&self) -> Knobs<'_> {
         Knobs {
             limits: &self.limits,
@@ -135,7 +152,7 @@ impl BbGhwConfig {
 
 /// The measure-independent settings of a BB run.
 #[derive(Clone, Copy)]
-struct Knobs<'c> {
+pub(crate) struct Knobs<'c> {
     limits: &'c SearchLimits,
     reductions: bool,
     pr2: bool,
@@ -555,7 +572,7 @@ impl Run {
     }
 }
 
-fn sequential<M: Measure>(m: &M, knobs: Knobs<'_>, budget: &Budget) -> SearchResult {
+pub(crate) fn sequential<M: Measure>(m: &M, knobs: Knobs<'_>, budget: &Budget) -> SearchResult {
     let root = match open_root(m, knobs.limits.collect_stats, budget) {
         Ok(root) => root,
         Err(solved) => return *solved,
@@ -584,7 +601,7 @@ fn witness_search<M: Measure>(
     dfs.finish(completed).0
 }
 
-fn witness<M: Measure>(
+pub(crate) fn witness<M: Measure>(
     m: &M,
     knobs: Knobs<'_>,
     width: usize,
@@ -667,7 +684,11 @@ fn steal_workers(requested: usize) -> usize {
     t.clamp(1, crate::sharded::MAX_WORKERS)
 }
 
-fn work_stealing<M: Measure>(mut m: M, knobs: Knobs<'_>, threads: usize) -> SearchResult {
+pub(crate) fn work_stealing<M: Measure>(
+    mut m: M,
+    knobs: Knobs<'_>,
+    threads: usize,
+) -> SearchResult {
     let budget = Budget::new(knobs.limits);
     let root = match open_root(&m, knobs.limits.collect_stats, &budget) {
         Ok(root) => root,

@@ -9,7 +9,8 @@
 //! bounds carry over and per-block decompositions glue at a separator bag.
 //! For ghw only hypergraph connected components and the isolated-edge /
 //! contained-edge reductions are provably safe, so the ghw pipeline is
-//! restricted to those.
+//! restricted to those. One driver (`split`) runs both; each measure
+//! supplies its planner and a few steps through `SplitMeasure`.
 //!
 //! Determinism: blocks are enumerated canonically (sorted vertex lists, in
 //! order of smallest vertex), the fan-out preserves input order, and for
@@ -18,19 +19,25 @@
 //! [`crate::bb::witness_ghw`] on the *whole* instance — so a split
 //! run is bit-identical to the monolithic sequential search for any
 //! thread count. Anytime runs (budget expiry, cancellation, double
-//! faults) fall back to a stitched ordering whose width is re-verified
-//! before it is claimed.
+//! faults) fall back to a stitched ordering. For tw its width is
+//! re-checked with [`TwEvaluator`] before it is claimed. For ghw it is the
+//! concatenation of the component orderings, sound because components are
+//! independent, and not re-checked here: the greedy-cover `GhwEvaluator`
+//! can overestimate, so it cannot serve as the check; the CLI's
+//! exact-cover certificate covers ghw answers.
 
-use crate::bb::{bb_ghw_budgeted, bb_tw_budgeted, witness_ghw, witness_tw, BbConfig, BbGhwConfig};
+use crate::bb::{
+    sequential, witness, witness_tw, work_stealing, BbConfig, BbGhwConfig, MeasureConfig,
+};
 use crate::common::{Budget, SearchResult, SearchStats};
-use crate::preprocess::preprocess_tw;
+use crate::measure::Measure;
+use crate::preprocess::{preprocess_tw, Preprocessed};
 use ghd_core::eval::TwEvaluator;
 use ghd_core::{bucket::vertex_elimination, EliminationOrdering};
 use ghd_hypergraph::separators::{
     biconnected_components, clique_separator_atoms, hypergraph_components,
 };
 use ghd_hypergraph::{BitSet, Graph, Hypergraph};
-use ghd_par::WorkerFault;
 
 /// What detached a block from the rest of the instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,8 +125,8 @@ pub struct SplitOutcome {
 // shared plumbing
 
 /// Induced subgraph of `g` on the sorted vertex list `verts`, compacted to
-/// dense indices (compact `i` = `verts[i]`).
-fn induced(g: &Graph, verts: &[usize]) -> Graph {
+/// dense indices (compact `i` = `verts[i]`), and the map back (`pos`).
+fn induced(g: &Graph, verts: &[usize]) -> (Graph, Vec<usize>) {
     let mut pos = vec![usize::MAX; g.num_vertices()];
     for (i, &v) in verts.iter().enumerate() {
         pos[v] = i;
@@ -132,34 +139,27 @@ fn induced(g: &Graph, verts: &[usize]) -> Graph {
             }
         }
     }
-    sub
+    (sub, pos)
 }
 
-/// Canonical text of a compact block graph: vertex count plus the sorted
-/// edge list. Blocks are compacted from sorted vertex lists, so equal
-/// labelled blocks — the reuse the block cache targets — get equal keys.
-fn graph_canon(g: &Graph) -> String {
+/// Canonical text of a compact block: measure tag, vertex count and edge
+/// list. Blocks are compacted from sorted vertex lists, so equal labelled
+/// blocks — the reuse the block cache targets — get equal keys.
+fn block_canon<E: IntoIterator<Item = usize>>(
+    tag: &str,
+    n: usize,
+    edges: impl Iterator<Item = E>,
+) -> String {
     use std::fmt::Write;
-    let mut s = format!("v{}", g.num_vertices());
-    for (u, v) in g.edges() {
-        let _ = write!(s, ";{u}-{v}");
-    }
-    s
-}
-
-/// Canonical text of a compact block hypergraph.
-fn hypergraph_canon(h: &Hypergraph) -> String {
-    use std::fmt::Write;
-    let mut s = format!("v{}", h.num_vertices());
-    for e in h.edges() {
-        let _ = write!(s, ";e");
-        for v in e.iter() {
+    let mut s = format!("{tag};v{n}");
+    for e in edges {
+        s.push_str(";e");
+        for v in e {
             let _ = write!(s, ",{v}");
         }
     }
     s
 }
-
 /// Re-derives an elimination ordering for the block `verts` from the tree
 /// decomposition of `order` on its induced subgraph, leaving the (clique)
 /// `defer` set out entirely: bags are peeled leaf-first toward a bag
@@ -168,31 +168,20 @@ fn hypergraph_canon(h: &Hypergraph) -> String {
 /// later block. Returns the emitted vertices (all of `verts` minus
 /// `defer`) in elimination order.
 fn peel_ordering(g: &Graph, verts: &[usize], order: &[usize], defer: &[usize]) -> Vec<usize> {
-    let sub = induced(g, verts);
-    let mut pos = vec![usize::MAX; g.num_vertices()];
-    for (i, &v) in verts.iter().enumerate() {
-        pos[v] = i;
-    }
+    let (sub, pos) = induced(g, verts);
     let sigma_c: Vec<usize> = order.iter().map(|&v| pos[v]).collect();
     let defer_set = BitSet::from_iter(verts.len(), defer.iter().map(|&v| pos[v]));
-    let sigma = match EliminationOrdering::new(sigma_c) {
-        Some(s) => s,
-        // defensive: a malformed block ordering falls back to solver order
-        None => {
-            return order
-                .iter()
-                .copied()
-                .filter(|&v| !defer.contains(&v))
-                .collect()
-        }
-    };
-    let td = vertex_elimination(&sub, &sigma);
-    // a clique is always contained in some bag; defensively fall back to
-    // the solver order (the stitched width is re-verified either way)
-    let Some(root) = td
-        .nodes()
-        .find(|&b| defer_set.iter().all(|v| td.bag(b).contains(v)))
-    else {
+    // a clique is always contained in some bag; defensively (that bag is
+    // missing, or the block ordering is malformed) fall back to the solver
+    // order (the stitched width is re-verified either way)
+    let rooted = EliminationOrdering::new(sigma_c).and_then(|sigma| {
+        let td = vertex_elimination(&sub, &sigma);
+        let root = td
+            .nodes()
+            .find(|&b| defer_set.iter().all(|v| td.bag(b).contains(v)))?;
+        Some((td, root))
+    });
+    let Some((td, root)) = rooted else {
         return order
             .iter()
             .copied()
@@ -247,30 +236,261 @@ fn peel_ordering(g: &Graph, verts: &[usize], order: &[usize], defer: &[usize]) -
 }
 
 // ---------------------------------------------------------------------------
-// treewidth pipeline
+// the split driver
 
-/// One independently solved block (core vertex indices, sorted).
-struct Unit {
+/// One block of a plan: its vertices (sorted, in the planner's index
+/// space), its separator kind and how it is settled.
+struct Block<I> {
     verts: Vec<usize>,
     kind: SeparatorKind,
+    work: Work<I>,
 }
 
-/// A biconnected block in component peel order: its clique atoms (unit
+enum Work<I> {
+    /// The compact sub-instance to search (compact `i` = `verts[i]`).
+    Search(I),
+    /// Settled by the planner at this exact width.
+    Settled(usize),
+}
+
+enum Plan<S, I> {
+    /// Answered without searching any block.
+    Settled(Box<SplitOutcome>),
+    /// The blocks, plus what stitching their orderings needs; with fewer
+    /// than two there is nothing to split.
+    Blocks(S, Vec<Block<I>>),
+}
+
+/// A solved block: its reported outcome, ordering and search telemetry.
+struct Solved {
+    out: BlockOutcome,
+    ordering: Vec<usize>,
+    stats: Option<SearchStats>,
+}
+
+impl Solved {
+    /// A block answered without search, emitted in canonical order.
+    fn fixed<I>(b: &Block<I>, width: usize, lower_bound: usize, exact: bool) -> Solved {
+        Solved {
+            out: BlockOutcome {
+                size: b.verts.len(),
+                width,
+                lower_bound,
+                exact,
+                kind: b.kind,
+                cache_hit: false,
+                nodes: 0,
+            },
+            ordering: b.verts.clone(),
+            stats: None,
+        }
+    }
+}
+
+/// The outcome a search result reports for a block of `size` vertices.
+fn outcome(size: usize, kind: SeparatorKind, r: &SearchResult) -> BlockOutcome {
+    BlockOutcome {
+        size,
+        width: r.upper_bound,
+        lower_bound: r.lower_bound,
+        exact: r.exact,
+        kind,
+        cache_hit: false,
+        nodes: r.nodes_expanded,
+    }
+}
+
+/// The measure-specific steps of the split layer; [`split`] does the rest.
+trait SplitMeasure: MeasureConfig {
+    /// What [`SplitMeasure::stitch`] needs beyond the solved blocks.
+    type Stitch;
+
+    /// Decomposes `inst`, recording its reductions in `report`.
+    fn plan(
+        &self,
+        inst: &Self::Inst,
+        budget: &Budget,
+        report: &mut SplitReport,
+    ) -> Plan<Self::Stitch, Self::Inst>;
+    /// The block-cache key of a compact block.
+    fn canon(sub: &Self::Inst) -> String;
+    /// A sound width of a block's identity ordering.
+    fn degraded_width(sub: &Self::Inst) -> usize;
+
+    /// Joins the block orderings into one ordering of `inst`, raising `ub`
+    /// and clearing `exact` where it does not realise `ub`. By default the
+    /// concatenation, sound for blocks sharing no vertex (not re-checked).
+    fn stitch(
+        &self,
+        _inst: &Self::Inst,
+        _stitch: &Self::Stitch,
+        _blocks: &[Block<Self::Inst>],
+        solved: &[Solved],
+        _ub: &mut usize,
+        _exact: &mut bool,
+    ) -> Vec<usize> {
+        solved.iter().flat_map(|s| &s.ordering).copied().collect()
+    }
+}
+
+/// One block solve: a [`BlockStore`] hit replays a stored solution,
+/// otherwise the budgeted search runs and an exact answer is admitted.
+fn solve_block<M: SplitMeasure>(
+    m: &M,
+    b: &Block<M::Inst>,
+    sub: &M::Inst,
+    budget: &Budget,
+    store: Option<&dyn BlockStore>,
+) -> Solved {
+    let key = store.map(|s| (s, M::canon(sub)));
+    let hit = key.as_ref().and_then(|(s, c)| s.probe(c));
+    if let Some(hit) = hit.filter(|hit| hit.ordering.len() == b.verts.len()) {
+        let mut s = Solved::fixed(b, hit.width, hit.lower_bound, true);
+        s.out.cache_hit = true;
+        s.ordering = hit.ordering.iter().map(|&i| b.verts[i]).collect();
+        return s;
+    }
+    let r = sequential(&m.measure(sub), m.knobs(), budget);
+    let out = outcome(b.verts.len(), b.kind, &r);
+    let ordering_c = r.ordering.unwrap_or_else(|| (0..b.verts.len()).collect());
+    if let (true, Some((s, c))) = (out.exact, &key) {
+        s.admit(
+            c,
+            &BlockSolution {
+                width: out.width,
+                lower_bound: out.lower_bound,
+                ordering: ordering_c.clone(),
+            },
+        );
+    }
+    Solved {
+        out,
+        ordering: ordering_c.iter().map(|&i| b.verts[i]).collect(),
+        stats: r.stats,
+    }
+}
+
+/// Plans `inst`, solves its blocks over `threads` workers (`0` = all
+/// cores) against the one shared `budget` / cancel token, merges their
+/// bounds, and re-derives (or stitches) the whole-instance ordering.
+fn split<M: SplitMeasure>(
+    m: &M,
+    inst: &M::Inst,
+    budget: &Budget,
+    threads: usize,
+    store: Option<&dyn BlockStore>,
+) -> SplitOutcome {
+    let mut report = SplitReport::default();
+    let (stitch, blocks) = match m.plan(inst, budget, &mut report) {
+        Plan::Settled(done) => return *done,
+        Plan::Blocks(stitch, blocks) if blocks.len() > 1 => (stitch, blocks),
+        Plan::Blocks(..) => {
+            // nothing to split: the monolithic search is the answer — the
+            // work-stealing parallel one when threads were requested, so an
+            // irreducible instance loses nothing to the split attempt
+            let whole = m.measure(inst);
+            let size = whole.graph().num_vertices();
+            let result = if threads == 1 {
+                sequential(&whole, m.knobs(), budget)
+            } else {
+                work_stealing(whole, m.knobs(), threads)
+            };
+            report.blocks = vec![outcome(size, SeparatorKind::Component, &result)];
+            return SplitOutcome { result, report };
+        }
+    };
+    report.split = true;
+    // fan the searched blocks out; a faulted block is retried once on the
+    // caller, and a second fault leaves a sound inexact stand-in
+    let searched: Vec<(&Block<M::Inst>, &M::Inst)> = blocks
+        .iter()
+        .filter_map(|b| match &b.work {
+            Work::Search(sub) => Some((b, sub)),
+            Work::Settled(_) => None,
+        })
+        .collect();
+    let contained = ghd_par::parallel_map_contained(&searched, threads, |&(b, sub)| {
+        solve_block(m, b, sub, budget, store)
+    });
+    let mut faults = contained.faults;
+    // settled blocks rejoin the searched ones in plan order
+    let mut slots = contained.results.into_iter().zip(&searched).enumerate();
+    let mut solved: Vec<Solved> = blocks
+        .iter()
+        .map(|b| match b.work {
+            Work::Settled(width) => Solved::fixed(b, width, width, true),
+            Work::Search(_) => {
+                let (i, (slot, &(_, sub))) = slots.next().expect("one slot per searched block");
+                slot.unwrap_or_else(|| {
+                    ghd_par::run_contained(ghd_par::RETRY_WORKER, i, || {
+                        solve_block(m, b, sub, budget, store)
+                    })
+                    .unwrap_or_else(|fault| {
+                        faults.push(fault);
+                        Solved::fixed(b, M::degraded_width(sub), 0, false)
+                    })
+                })
+            }
+        })
+        .collect();
+    faults.sort_by_key(|f| f.task);
+    let (mut ub, mut lb) = (report.base_width, report.base_width);
+    let mut exact = true;
+    let mut nodes: u64 = 0;
+    for s in &solved {
+        ub = ub.max(s.out.width);
+        lb = lb.max(s.out.lower_bound);
+        exact &= s.out.exact;
+        nodes += s.out.nodes;
+        report.blocks.push(s.out.clone());
+    }
+    lb = lb.min(ub);
+    // exact runs re-derive the canonical sequential ordering on the whole
+    // instance; anytime runs (and an expired witness) stitch block orderings
+    let (found, wnodes) = if exact {
+        witness(&m.measure(inst), m.knobs(), ub, budget)
+    } else {
+        (None, 0)
+    };
+    report.witness_nodes = wnodes;
+    nodes += wnodes;
+    let ordering = found.unwrap_or_else(|| {
+        report.stitched = true;
+        m.stitch(inst, &stitch, &blocks, &solved, &mut ub, &mut exact)
+    });
+    if exact {
+        lb = ub;
+    }
+    let stats = budget.collect_stats().then(|| SearchStats {
+        faults: faults.clone(),
+        ..SearchStats::merge(solved.iter_mut().filter_map(|s| s.stats.take()))
+    });
+    SplitOutcome {
+        result: SearchResult {
+            upper_bound: ub,
+            lower_bound: lb,
+            exact,
+            ordering: Some(ordering),
+            nodes_expanded: nodes,
+            elapsed: budget.elapsed(),
+            cover_cache: None,
+            stats,
+            faults,
+        },
+        report,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// treewidth planner
+
+/// A biconnected block in component peel order: its clique atoms (block
 /// ids, creation order) and the cut vertex deferred toward later blocks
 /// (`None` for the last block of a component).
 struct BccPlan {
     verts: Vec<usize>,
     attach: Option<usize>,
-    unit_ids: Vec<usize>,
-}
-
-struct CompPlan {
-    bccs: Vec<BccPlan>,
-}
-
-struct Plan {
-    comps: Vec<CompPlan>,
-    units: Vec<Unit>,
+    atoms: std::ops::Range<usize>,
 }
 
 /// Leaf-peel order for the biconnected blocks of one connected component:
@@ -326,12 +546,11 @@ fn peel_bccs(blocks: Vec<Vec<usize>>, n: usize) -> Vec<(Vec<usize>, Option<usize
 /// Decomposition plan for the irreducible core: connected components →
 /// biconnected blocks (leaf-peel order) → clique-separator atoms
 /// (creation order). Every solve unit is canonical (sorted vertex lists).
-fn plan_tw(core: &Graph) -> Plan {
-    let n = core.num_vertices();
+fn plan_tw(core: &Graph) -> (Vec<BccPlan>, Vec<Block<Graph>>) {
     let mut units = Vec::new();
-    let mut comps = Vec::new();
+    let mut bccs = Vec::new();
     for comp in core.connected_components() {
-        let sub_c = induced(core, &comp);
+        let (sub_c, _) = induced(core, &comp);
         let mut blocks: Vec<Vec<usize>> = biconnected_components(&sub_c)
             .blocks
             .into_iter()
@@ -339,10 +558,9 @@ fn plan_tw(core: &Graph) -> Plan {
             .collect();
         blocks.sort();
         let many_bccs = blocks.len() > 1;
-        let mut bccs = Vec::new();
-        for (bverts, attach) in peel_bccs(blocks, n) {
+        for (bverts, attach) in peel_bccs(blocks, core.num_vertices()) {
             let atoms: Vec<Vec<usize>> = if bverts.len() >= 4 {
-                let sub_b = induced(core, &bverts);
+                let (sub_b, _) = induced(core, &bverts);
                 clique_separator_atoms(&sub_b)
                     .atoms
                     .into_iter()
@@ -358,166 +576,147 @@ fn plan_tw(core: &Graph) -> Plan {
             } else {
                 SeparatorKind::Component
             };
-            let mut unit_ids = Vec::with_capacity(atoms.len());
+            let first = units.len();
             for verts in atoms {
-                unit_ids.push(units.len());
-                units.push(Unit { verts, kind });
+                let work = Work::Search(induced(core, &verts).0);
+                units.push(Block { verts, kind, work });
             }
             bccs.push(BccPlan {
                 verts: bverts,
                 attach,
-                unit_ids,
+                atoms: first..units.len(),
             });
         }
-        comps.push(CompPlan { bccs });
     }
-    Plan { comps, units }
+    (bccs, units)
 }
 
-/// A solved unit: width interval plus an ordering in core indices.
-struct Solved {
-    width: usize,
-    lower_bound: usize,
-    exact: bool,
-    ordering: Vec<usize>,
-    nodes: u64,
-    cache_hit: bool,
-    stats: Option<SearchStats>,
-}
+impl SplitMeasure for BbConfig {
+    /// The preprocessing (to map core vertices back and append the reduced
+    /// ones) and the biconnected blocks in peel order.
+    type Stitch = (Preprocessed, Vec<BccPlan>);
 
-fn solve_unit(
-    core: &Graph,
-    unit: &Unit,
-    cfg: &BbConfig,
-    budget: &Budget,
-    store: Option<&dyn BlockStore>,
-) -> Solved {
-    let sub = induced(core, &unit.verts);
-    let canon = store.map(|_| format!("tw;{}", graph_canon(&sub)));
-    if let (Some(s), Some(c)) = (store, canon.as_deref()) {
-        if let Some(hit) = s.probe(c) {
-            if hit.ordering.len() == unit.verts.len() {
-                return Solved {
-                    width: hit.width,
-                    lower_bound: hit.lower_bound,
+    fn plan(
+        &self,
+        g: &Graph,
+        budget: &Budget,
+        report: &mut SplitReport,
+    ) -> Plan<Self::Stitch, Graph> {
+        let pre = preprocess_tw(g);
+        report.base_width = pre.base_width;
+        report.eliminated = pre.eliminated.len();
+        report.rounds = pre.rounds;
+        if pre.core.num_vertices() == 0 {
+            // fully reduced: reproduce the monolithic ordering via the witness
+            let (w, wnodes) = witness_tw(g, pre.base_width, self, budget);
+            report.witness_nodes = wnodes;
+            let ordering = w.unwrap_or_else(|| {
+                report.stitched = true;
+                pre.eliminated.iter().rev().copied().collect()
+            });
+            return Plan::Settled(Box::new(SplitOutcome {
+                result: SearchResult {
+                    upper_bound: pre.base_width,
+                    lower_bound: pre.base_width,
                     exact: true,
-                    ordering: hit.ordering.iter().map(|&i| unit.verts[i]).collect(),
-                    nodes: 0,
-                    cache_hit: true,
+                    ordering: Some(ordering),
+                    nodes_expanded: wnodes,
+                    elapsed: budget.elapsed(),
+                    cover_cache: None,
                     stats: None,
-                };
-            }
-        }
-    }
-    let r = bb_tw_budgeted(&sub, cfg, budget);
-    let ordering_c = r
-        .ordering
-        .unwrap_or_else(|| (0..sub.num_vertices()).collect());
-    if r.exact {
-        if let (Some(s), Some(c)) = (store, canon.as_deref()) {
-            s.admit(
-                c,
-                &BlockSolution {
-                    width: r.upper_bound,
-                    lower_bound: r.lower_bound,
-                    ordering: ordering_c.clone(),
+                    faults: Vec::new(),
                 },
-            );
+                report: std::mem::take(report),
+            }));
         }
+        let (bccs, blocks) = plan_tw(&pre.core);
+        Plan::Blocks((pre, bccs), blocks)
     }
-    Solved {
-        width: r.upper_bound,
-        lower_bound: r.lower_bound,
-        exact: r.exact,
-        ordering: ordering_c.iter().map(|&i| unit.verts[i]).collect(),
-        nodes: r.nodes_expanded,
-        cache_hit: false,
-        stats: r.stats,
-    }
-}
 
-/// Sound stand-in for a block whose worker faulted twice: the identity
-/// ordering with its verified width, claimed inexact.
-fn degraded_unit(core: &Graph, unit: &Unit) -> Solved {
-    let sub = induced(core, &unit.verts);
-    let k = sub.num_vertices();
-    let sigma = EliminationOrdering::new((0..k).collect()).expect("identity is a permutation");
-    let width = TwEvaluator::new(&sub).width(&sigma);
-    Solved {
-        width,
-        lower_bound: 0,
-        exact: false,
-        ordering: unit.verts.clone(),
-        nodes: 0,
-        cache_hit: false,
-        stats: None,
+    fn canon(sub: &Graph) -> String {
+        block_canon("tw", sub.num_vertices(), sub.edges().map(|(u, v)| [u, v]))
     }
-}
 
-/// Stitches the per-unit orderings into one core ordering of width
-/// ≤ max unit widths: atoms of each biconnected block are peeled in
-/// creation order (deferring what later atoms share), each block is then
-/// re-peeled to defer its attachment cut vertex, components concatenate.
-fn stitch_tw(core: &Graph, plan: &Plan, solved: &[Solved]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(core.num_vertices());
-    for comp in &plan.comps {
-        for bcc in &comp.bccs {
-            let m = bcc.unit_ids.len();
+    fn degraded_width(sub: &Graph) -> usize {
+        TwEvaluator::new(sub).width(&EliminationOrdering::identity(sub.num_vertices()))
+    }
+
+    /// Stitches the per-unit orderings into one core ordering of width
+    /// ≤ max unit widths: atoms of each biconnected block are peeled in
+    /// creation order (deferring what later atoms share), each block is
+    /// then re-peeled to defer its attachment cut vertex, components
+    /// concatenate.
+    fn stitch(
+        &self,
+        g: &Graph,
+        (pre, bccs): &Self::Stitch,
+        blocks: &[Block<Graph>],
+        solved: &[Solved],
+        ub: &mut usize,
+        exact: &mut bool,
+    ) -> Vec<usize> {
+        let core = &pre.core;
+        let mut core_order = Vec::with_capacity(core.num_vertices());
+        for bcc in bccs {
             let mut bcc_order: Vec<usize> = Vec::with_capacity(bcc.verts.len());
-            if m == 1 {
-                bcc_order.extend_from_slice(&solved[bcc.unit_ids[0]].ordering);
-            } else {
-                // occurrences of each vertex among the not-yet-peeled atoms
-                let mut occ = vec![0usize; core.num_vertices()];
-                for &u in &bcc.unit_ids {
-                    for &v in &plan.units[u].verts {
-                        occ[v] += 1;
-                    }
+            let mut emitted = BitSet::new(core.num_vertices());
+            // occurrences of each vertex among the not-yet-peeled atoms
+            let mut occ = vec![0usize; core.num_vertices()];
+            for b in &blocks[bcc.atoms.clone()] {
+                for &v in &b.verts {
+                    occ[v] += 1;
                 }
-                for &u in &bcc.unit_ids {
-                    let unit = &plan.units[u];
-                    for &v in &unit.verts {
-                        occ[v] -= 1;
-                    }
-                    let defer: Vec<usize> = unit
-                        .verts
-                        .iter()
-                        .copied()
-                        .filter(|&v| occ[v] > 0)
-                        .collect();
-                    if defer.is_empty() {
-                        // emit whatever this atom still owns, solver order
-                        let tail: Vec<usize> = solved[u]
-                            .ordering
-                            .iter()
-                            .copied()
-                            .filter(|&v| !bcc_order.contains(&v))
-                            .collect();
-                        bcc_order.extend(tail);
-                    } else {
-                        let peeled: Vec<usize> =
-                            peel_ordering(core, &unit.verts, &solved[u].ordering, &defer)
-                            .into_iter()
-                            .filter(|v| !bcc_order.contains(v))
-                            .collect();
-                        bcc_order.extend(peeled);
-                    }
+            }
+            for u in bcc.atoms.clone() {
+                let verts = &blocks[u].verts;
+                for &v in verts {
+                    occ[v] -= 1;
                 }
+                let defer: Vec<usize> = verts.iter().copied().filter(|&v| occ[v] > 0).collect();
+                // an atom sharing nothing with later atoms emits whatever
+                // it still owns in solver order
+                let own = if defer.is_empty() {
+                    solved[u].ordering.clone()
+                } else {
+                    peel_ordering(core, verts, &solved[u].ordering, &defer)
+                };
+                bcc_order.extend(own.into_iter().filter(|&v| emitted.insert(v)));
             }
             match bcc.attach {
-                Some(c) => out.extend(peel_ordering(core, &bcc.verts, &bcc_order, &[c])),
-                None => out.extend_from_slice(&bcc_order),
+                Some(c) => core_order.extend(peel_ordering(core, &bcc.verts, &bcc_order, &[c])),
+                None => core_order.extend_from_slice(&bcc_order),
             }
         }
+        let mut o: Vec<usize> = core_order
+            .into_iter()
+            .map(|v| pre.original_of_core[v])
+            .collect();
+        o.extend(pre.eliminated.iter().rev());
+        // the stitched ordering may only certify what it realises
+        match EliminationOrdering::new(o.clone()) {
+            Some(sigma) => {
+                let w = TwEvaluator::new(g).width(&sigma);
+                debug_assert!(w <= *ub, "stitched width {w} exceeds combined bound {ub}");
+                if w > *ub {
+                    *ub = w;
+                    *exact = false;
+                }
+            }
+            None => {
+                debug_assert!(false, "stitched ordering is not a permutation");
+                *exact = false;
+            }
+        }
+        o
     }
-    out
 }
 
 /// Treewidth by safe-separator divide and conquer: preprocess, decompose
 /// the core, solve each block over `threads` workers (`0` = all cores)
 /// against one shared [`Budget`] / cancel token, and recombine. Exact
 /// results are bit-identical to the monolithic sequential [`crate::bb_tw`]
-/// (see the module notes); anytime results report the stitched ordering.
+/// (see the module notes); anytime results report the stitched ordering,
+/// whose width is re-checked with [`TwEvaluator`] before it is claimed.
 /// `store` optionally caches exact block solutions across instances.
 pub fn split_tw(
     g: &Graph,
@@ -525,244 +724,78 @@ pub fn split_tw(
     threads: usize,
     store: Option<&dyn BlockStore>,
 ) -> SplitOutcome {
-    let budget = Budget::new(&cfg.limits);
-    let pre = preprocess_tw(g);
-    let mut report = SplitReport {
-        base_width: pre.base_width,
-        eliminated: pre.eliminated.len(),
-        rounds: pre.rounds,
-        ..SplitReport::default()
-    };
-    if pre.core.num_vertices() == 0 {
-        // fully reduced: reproduce the monolithic ordering via the witness
-        let (w, wnodes) = witness_tw(g, pre.base_width, cfg, &budget);
-        report.witness_nodes = wnodes;
-        let ordering = w.unwrap_or_else(|| {
-            report.stitched = true;
-            let mut o = pre.eliminated.clone();
-            o.reverse();
-            o
-        });
-        return SplitOutcome {
-            result: SearchResult {
-                upper_bound: pre.base_width,
-                lower_bound: pre.base_width,
-                exact: true,
-                ordering: Some(ordering),
-                nodes_expanded: wnodes,
-                elapsed: budget.elapsed(),
-                cover_cache: None,
-                stats: None,
-                faults: Vec::new(),
-            },
-            report,
-        };
-    }
-    let plan = plan_tw(&pre.core);
-    if plan.units.len() <= 1 {
-        // nothing to split: the monolithic search is the answer — the
-        // work-stealing parallel one when threads were requested, so an
-        // irreducible instance loses nothing to the split attempt
-        let result = if threads == 1 {
-            bb_tw_budgeted(g, cfg, &budget)
-        } else {
-            crate::bb::bb_tw_parallel(g, cfg, threads)
-        };
-        report.blocks.push(BlockOutcome {
-            size: g.num_vertices(),
-            width: result.upper_bound,
-            lower_bound: result.lower_bound,
-            exact: result.exact,
-            kind: SeparatorKind::Component,
-            cache_hit: false,
-            nodes: result.nodes_expanded,
-        });
-        return SplitOutcome { result, report };
-    }
-    report.split = true;
-    // fan the blocks out; a faulted block is retried once on the caller
-    let ids: Vec<usize> = (0..plan.units.len()).collect();
-    let contained = ghd_par::parallel_map_contained(&ids, threads, |&u| {
-        solve_unit(&pre.core, &plan.units[u], cfg, &budget, store)
-    });
-    let mut faults: Vec<WorkerFault> = contained.faults;
-    let mut solved: Vec<Solved> = Vec::with_capacity(plan.units.len());
-    for (i, slot) in contained.results.into_iter().enumerate() {
-        match slot {
-            Some(s) => solved.push(s),
-            None => match ghd_par::run_contained(ghd_par::RETRY_WORKER, i, || {
-                solve_unit(&pre.core, &plan.units[i], cfg, &budget, store)
-            }) {
-                Ok(s) => solved.push(s),
-                Err(fault) => {
-                    faults.push(fault);
-                    solved.push(degraded_unit(&pre.core, &plan.units[i]));
-                }
-            },
-        }
-    }
-    faults.sort_by_key(|f| f.task);
-    let mut ub = pre.base_width;
-    let mut lb = pre.base_width;
-    let mut exact = true;
-    let mut nodes: u64 = 0;
-    for (u, s) in solved.iter().enumerate() {
-        ub = ub.max(s.width);
-        lb = lb.max(s.lower_bound);
-        exact &= s.exact;
-        nodes += s.nodes;
-        report.blocks.push(BlockOutcome {
-            size: plan.units[u].verts.len(),
-            width: s.width,
-            lower_bound: s.lower_bound,
-            exact: s.exact,
-            kind: plan.units[u].kind,
-            cache_hit: s.cache_hit,
-            nodes: s.nodes,
-        });
-    }
-    lb = lb.min(ub);
-    // exact runs re-derive the canonical sequential ordering on the whole
-    // graph; anytime runs (and an expired witness) stitch block orderings
-    let mut witness = None;
-    if exact {
-        let (w, wnodes) = witness_tw(g, ub, cfg, &budget);
-        report.witness_nodes = wnodes;
-        nodes += wnodes;
-        witness = w;
-    }
-    let ordering = match witness {
-        Some(o) => o,
-        None => {
-            report.stitched = true;
-            let core_order = stitch_tw(&pre.core, &plan, &solved);
-            let mut o: Vec<usize> = core_order
-                .into_iter()
-                .map(|v| pre.original_of_core[v])
-                .collect();
-            o.extend(pre.eliminated.iter().rev());
-            // the stitched ordering may only certify what it realises
-            match EliminationOrdering::new(o.clone()) {
-                Some(sigma) => {
-                    let w = TwEvaluator::new(g).width(&sigma);
-                    debug_assert!(w <= ub, "stitched width {w} exceeds combined bound {ub}");
-                    if w > ub {
-                        ub = w;
-                        exact = false;
-                    }
-                }
-                None => {
-                    debug_assert!(false, "stitched ordering is not a permutation");
-                    exact = false;
-                }
-            }
-            o
-        }
-    };
-    if exact {
-        lb = ub;
-    }
-    let stats = if cfg.limits.collect_stats {
-        let parts: Vec<SearchStats> = solved.iter_mut().filter_map(|s| s.stats.take()).collect();
-        let mut merged = SearchStats::merge(parts);
-        merged.faults = faults.clone();
-        Some(merged)
-    } else {
-        None
-    };
-    SplitOutcome {
-        result: SearchResult {
-            upper_bound: ub,
-            lower_bound: lb,
-            exact,
-            ordering: Some(ordering),
-            nodes_expanded: nodes,
-            elapsed: budget.elapsed(),
-            cover_cache: None,
-            stats,
-            faults,
-        },
-        report,
-    }
+    split(cfg, g, &Budget::new(&cfg.limits), threads, store)
 }
 
 // ---------------------------------------------------------------------------
-// ghw pipeline
+// ghw planner
 
-/// One ghw component: either solved by search or settled trivially.
-enum GhwPart {
-    /// Vertices covered by no hyperedge: width 0, emitted canonically.
-    Bare(Vec<usize>),
-    /// A single hyperedge sharing no vertex with any other: width 1.
-    Isolated(Vec<usize>),
-    /// A component that needs the search (unit index into the fan-out).
-    Search(usize),
-}
+impl SplitMeasure for BbGhwConfig {
+    type Stitch = ();
 
-struct GhwUnit {
-    verts: Vec<usize>,
-    sub: Hypergraph,
-}
-
-fn solve_ghw_unit(
-    unit: &GhwUnit,
-    cfg: &BbGhwConfig,
-    budget: &Budget,
-    store: Option<&dyn BlockStore>,
-) -> Solved {
-    let canon = store.map(|_| format!("ghw;{}", hypergraph_canon(&unit.sub)));
-    if let (Some(s), Some(c)) = (store, canon.as_deref()) {
-        if let Some(hit) = s.probe(c) {
-            if hit.ordering.len() == unit.verts.len() {
-                return Solved {
-                    width: hit.width,
-                    lower_bound: hit.lower_bound,
-                    exact: true,
-                    ordering: hit.ordering.iter().map(|&i| unit.verts[i]).collect(),
-                    nodes: 0,
-                    cache_hit: true,
-                    stats: None,
-                };
+    fn plan(&self, h: &Hypergraph, _: &Budget, report: &mut SplitReport) -> Plan<(), Hypergraph> {
+        let n = h.num_vertices();
+        // contained-edge reduction: e ⊆ f keeps ghw exactly (f's bag covers e,
+        // and f replaces e in any λ-cover without growing it)
+        let kept: Vec<usize> = (0..h.num_edges())
+            .filter(|&i| {
+                let e = h.edge(i);
+                !(0..h.num_edges()).any(|j| {
+                    j != i && {
+                        let f = h.edge(j);
+                        e.is_subset(f) && (e.len() < f.len() || j < i)
+                    }
+                })
+            })
+            .collect();
+        report.contained_edges = h.num_edges() - kept.len();
+        let reduced = Hypergraph::from_edges(n, kept.iter().map(|&i| h.edge(i).to_vec()));
+        let comps = hypergraph_components(&reduced);
+        if h.covered_vertices().is_empty() {
+            return Plan::Blocks((), Vec::new());
+        }
+        // classify components canonically; compact sub-hypergraphs for search
+        let mut pos = vec![usize::MAX; n];
+        let mut blocks = Vec::with_capacity(comps.len());
+        for verts in comps {
+            for (i, &v) in verts.iter().enumerate() {
+                pos[v] = i;
             }
+            let in_comp: Vec<usize> = kept
+                .iter()
+                .copied()
+                .filter(|&e| {
+                    h.edge(e)
+                        .min()
+                        .is_some_and(|v| verts.binary_search(&v).is_ok())
+                })
+                .collect();
+            let (kind, work) = match in_comp.len() {
+                // vertices covered by no hyperedge: width 0
+                0 => (SeparatorKind::Component, Work::Settled(0)),
+                // a single hyperedge sharing no vertex with any other: width 1
+                1 => (SeparatorKind::IsolatedEdge, Work::Settled(1)),
+                _ => {
+                    let edges = in_comp
+                        .iter()
+                        .map(|&e| h.edge(e).iter().map(|v| pos[v]).collect::<Vec<_>>());
+                    let sub = Hypergraph::from_edges(verts.len(), edges);
+                    (SeparatorKind::Component, Work::Search(sub))
+                }
+            };
+            blocks.push(Block { verts, kind, work });
         }
+        Plan::Blocks((), blocks)
     }
-    let r = bb_ghw_budgeted(&unit.sub, cfg, budget);
-    let ordering_c = r
-        .ordering
-        .unwrap_or_else(|| (0..unit.sub.num_vertices()).collect());
-    if r.exact {
-        if let (Some(s), Some(c)) = (store, canon.as_deref()) {
-            s.admit(
-                c,
-                &BlockSolution {
-                    width: r.upper_bound,
-                    lower_bound: r.lower_bound,
-                    ordering: ordering_c.clone(),
-                },
-            );
-        }
-    }
-    Solved {
-        width: r.upper_bound,
-        lower_bound: r.lower_bound,
-        exact: r.exact,
-        ordering: ordering_c.iter().map(|&i| unit.verts[i]).collect(),
-        nodes: r.nodes_expanded,
-        cache_hit: false,
-        stats: r.stats,
-    }
-}
 
-/// Trivial-width stand-in for a ghw block whose worker faulted twice.
-fn degraded_ghw_unit(unit: &GhwUnit) -> Solved {
-    Solved {
-        width: unit.sub.num_edges().max(1),
-        lower_bound: 0,
-        exact: false,
-        ordering: unit.verts.clone(),
-        nodes: 0,
-        cache_hit: false,
-        stats: None,
+    fn canon(sub: &Hypergraph) -> String {
+        let edges = sub.edges().iter().map(BitSet::iter);
+        block_canon("ghw", sub.num_vertices(), edges)
+    }
+
+    /// Every hyperedge together covers any bag.
+    fn degraded_width(sub: &Hypergraph) -> usize {
+        sub.num_edges().max(1)
     }
 }
 
@@ -773,200 +806,15 @@ fn degraded_ghw_unit(unit: &GhwUnit) -> Solved {
 /// components are independent in the primal graph, so the combined width
 /// is the maximum. Exact results are bit-identical to the monolithic
 /// sequential [`crate::bb_ghw()`] via witness reconstruction on the whole
-/// instance.
+/// instance. Anytime results keep the concatenated ordering, which is not
+/// re-checked here (see the module notes).
 pub fn split_ghw(
     h: &Hypergraph,
     cfg: &BbGhwConfig,
     threads: usize,
     store: Option<&dyn BlockStore>,
 ) -> SplitOutcome {
-    let budget = Budget::new(&cfg.limits);
-    let n = h.num_vertices();
-    let mut report = SplitReport::default();
-    // contained-edge reduction: e ⊆ f keeps ghw exactly (f's bag covers e,
-    // and f replaces e in any λ-cover without growing it)
-    let kept: Vec<usize> = (0..h.num_edges())
-        .filter(|&i| {
-            let e = h.edge(i);
-            !(0..h.num_edges()).any(|j| {
-                j != i && {
-                    let f = h.edge(j);
-                    e.is_subset(f) && (e.len() < f.len() || j < i)
-                }
-            })
-        })
-        .collect();
-    report.contained_edges = h.num_edges() - kept.len();
-    let reduced = Hypergraph::from_edges(n, kept.iter().map(|&i| h.edge(i).to_vec()));
-    let comps = hypergraph_components(&reduced);
-    if comps.len() <= 1 || h.covered_vertices().is_empty() {
-        // nothing to split: the monolithic search is the answer — the
-        // work-stealing parallel one when threads were requested, so an
-        // irreducible instance loses nothing to the split attempt
-        let result = if threads == 1 {
-            bb_ghw_budgeted(h, cfg, &budget)
-        } else {
-            crate::bb::bb_ghw_parallel(h, cfg, threads)
-        };
-        report.blocks.push(BlockOutcome {
-            size: n,
-            width: result.upper_bound,
-            lower_bound: result.lower_bound,
-            exact: result.exact,
-            kind: SeparatorKind::Component,
-            cache_hit: false,
-            nodes: result.nodes_expanded,
-        });
-        return SplitOutcome { result, report };
-    }
-    report.split = true;
-    // classify components canonically; compact sub-hypergraphs for search
-    let mut parts: Vec<GhwPart> = Vec::with_capacity(comps.len());
-    let mut units: Vec<GhwUnit> = Vec::new();
-    let mut pos = vec![usize::MAX; n];
-    for comp in &comps {
-        for (i, &v) in comp.iter().enumerate() {
-            pos[v] = i;
-        }
-        let in_comp: Vec<usize> = kept
-            .iter()
-            .copied()
-            .filter(|&e| {
-                h.edge(e)
-                    .min()
-                    .is_some_and(|v| comp.binary_search(&v).is_ok())
-            })
-            .collect();
-        match in_comp.len() {
-            0 => parts.push(GhwPart::Bare(comp.clone())),
-            1 => parts.push(GhwPart::Isolated(comp.clone())),
-            _ => {
-                let edges = in_comp
-                    .iter()
-                    .map(|&e| h.edge(e).iter().map(|v| pos[v]).collect::<Vec<_>>());
-                let sub = Hypergraph::from_edges(comp.len(), edges);
-                parts.push(GhwPart::Search(units.len()));
-                units.push(GhwUnit {
-                    verts: comp.clone(),
-                    sub,
-                });
-            }
-        }
-    }
-    // fan the searched components out; faulted blocks retry on the caller
-    let ids: Vec<usize> = (0..units.len()).collect();
-    let contained = ghd_par::parallel_map_contained(&ids, threads, |&u| {
-        solve_ghw_unit(&units[u], cfg, &budget, store)
-    });
-    let mut faults: Vec<WorkerFault> = contained.faults;
-    let mut solved: Vec<Solved> = Vec::with_capacity(units.len());
-    for (i, slot) in contained.results.into_iter().enumerate() {
-        match slot {
-            Some(s) => solved.push(s),
-            None => match ghd_par::run_contained(ghd_par::RETRY_WORKER, i, || {
-                solve_ghw_unit(&units[i], cfg, &budget, store)
-            }) {
-                Ok(s) => solved.push(s),
-                Err(fault) => {
-                    faults.push(fault);
-                    solved.push(degraded_ghw_unit(&units[i]));
-                }
-            },
-        }
-    }
-    faults.sort_by_key(|f| f.task);
-    let mut ub = 0usize;
-    let mut lb = 0usize;
-    let mut exact = true;
-    let mut nodes: u64 = 0;
-    let mut stitched: Vec<usize> = Vec::with_capacity(n);
-    for part in &parts {
-        match part {
-            GhwPart::Bare(verts) => {
-                stitched.extend_from_slice(verts);
-                report.blocks.push(BlockOutcome {
-                    size: verts.len(),
-                    width: 0,
-                    lower_bound: 0,
-                    exact: true,
-                    kind: SeparatorKind::Component,
-                    cache_hit: false,
-                    nodes: 0,
-                });
-            }
-            GhwPart::Isolated(verts) => {
-                ub = ub.max(1);
-                lb = lb.max(1);
-                stitched.extend_from_slice(verts);
-                report.blocks.push(BlockOutcome {
-                    size: verts.len(),
-                    width: 1,
-                    lower_bound: 1,
-                    exact: true,
-                    kind: SeparatorKind::IsolatedEdge,
-                    cache_hit: false,
-                    nodes: 0,
-                });
-            }
-            GhwPart::Search(u) => {
-                let s = &solved[*u];
-                ub = ub.max(s.width);
-                lb = lb.max(s.lower_bound);
-                exact &= s.exact;
-                nodes += s.nodes;
-                stitched.extend_from_slice(&s.ordering);
-                report.blocks.push(BlockOutcome {
-                    size: units[*u].verts.len(),
-                    width: s.width,
-                    lower_bound: s.lower_bound,
-                    exact: s.exact,
-                    kind: SeparatorKind::Component,
-                    cache_hit: s.cache_hit,
-                    nodes: s.nodes,
-                });
-            }
-        }
-    }
-    lb = lb.min(ub);
-    let mut witness = None;
-    if exact {
-        let (w, wnodes) = witness_ghw(h, ub, cfg, &budget);
-        report.witness_nodes = wnodes;
-        nodes += wnodes;
-        witness = w;
-    }
-    let ordering = match witness {
-        Some(o) => o,
-        None => {
-            report.stitched = true;
-            stitched
-        }
-    };
-    if exact {
-        lb = ub;
-    }
-    let stats = if cfg.limits.collect_stats {
-        let parts: Vec<SearchStats> = solved.iter_mut().filter_map(|s| s.stats.take()).collect();
-        let mut merged = SearchStats::merge(parts);
-        merged.faults = faults.clone();
-        Some(merged)
-    } else {
-        None
-    };
-    SplitOutcome {
-        result: SearchResult {
-            upper_bound: ub,
-            lower_bound: lb,
-            exact,
-            ordering: Some(ordering),
-            nodes_expanded: nodes,
-            elapsed: budget.elapsed(),
-            cover_cache: None,
-            stats,
-            faults,
-        },
-        report,
-    }
+    split(cfg, h, &Budget::new(&cfg.limits), threads, store)
 }
 
 #[cfg(test)]
@@ -1084,9 +932,8 @@ mod tests {
         assert_eq!(s.result.ordering, mono.ordering);
     }
 
-    #[test]
-    fn split_ghw_matches_monolithic_bitwise() {
-        // two disjoint cycle hypergraphs plus an isolated edge
+    /// Two disjoint cycle hypergraphs plus an isolated edge.
+    fn two_cycles_and_an_edge() -> Hypergraph {
         let mut edges: Vec<Vec<usize>> = Vec::new();
         for c in 0..2 {
             let base = c * 5;
@@ -1095,7 +942,12 @@ mod tests {
             }
         }
         edges.push(vec![10, 11, 12]);
-        let h = Hypergraph::from_edges(13, edges);
+        Hypergraph::from_edges(13, edges)
+    }
+
+    #[test]
+    fn split_ghw_matches_monolithic_bitwise() {
+        let h = two_cycles_and_an_edge();
         let gcfg = BbGhwConfig::default();
         let mono = bb_ghw(&h, &gcfg);
         for threads in [1, 2, 4] {
@@ -1138,6 +990,34 @@ mod tests {
         let w = TwEvaluator::new(&g).width(&sigma);
         assert!(s.result.upper_bound >= s.result.lower_bound);
         assert!(w <= s.result.upper_bound, "{w} > {}", s.result.upper_bound);
+    }
+
+    #[test]
+    fn split_ghw_anytime_stays_sound() {
+        use crate::common::CancelToken;
+        use ghd_core::bucket::ghd_from_ordering;
+        use ghd_core::CoverMethod;
+        let h = two_cycles_and_an_edge();
+        let token = CancelToken::arm();
+        token.cancel();
+        for limits in [
+            SearchLimits::unlimited().with_cancel(token),
+            SearchLimits::with_nodes(1),
+        ] {
+            let c = BbGhwConfig {
+                limits,
+                ..BbGhwConfig::default()
+            };
+            let r = split_ghw(&h, &c, 2, None).result;
+            assert!(r.lower_bound <= r.upper_bound, "{r:?}");
+            let sigma = EliminationOrdering::new(r.ordering.clone().unwrap())
+                .expect("the emitted ordering is a permutation");
+            // the exact-cover decomposition of the ordering is valid and
+            // realises no more than the claimed upper bound
+            let ghd = ghd_from_ordering(&h, &sigma, CoverMethod::Exact);
+            ghd.verify(&h).expect("the decomposition verifies");
+            assert!(ghd.width() <= r.upper_bound, "{r:?}");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@ cargo build --offline --release --workspace
 echo "==> cargo test (offline)"
 cargo test --offline -q --workspace
 
-echo "==> cargo test (search crates, release optimisation + debug assertions)"
-cargo test --offline -q --profile relassert -p ghd -p ghd-par -p ghd-search -p ghd-ga -p ghd-serve
+echo "==> cargo test (search crates and the CLI, release optimisation + debug assertions)"
+cargo test --offline -q --profile relassert -p ghd -p ghd-par -p ghd-search -p ghd-ga -p ghd-serve -p ghd-cli
 
 echo "==> clippy -D warnings (whole workspace, all targets)"
 cargo clippy --offline -q --workspace --all-targets -- -D warnings
