@@ -145,7 +145,9 @@ fn split_suite() -> Vec<(&'static str, Graph)> {
 }
 
 /// One row of the split sweep: the same exact BB-tw search with the
-/// safe-separator split layer off vs on, best-of-`runs` wall clocks.
+/// safe-separator split layer off vs on, best-of-`runs` wall clocks, and
+/// the nodes each side expanded (the split side as block solves plus the
+/// whole-instance witness). `validate_bench` gates on the node counts.
 struct SplitRow {
     instance: String,
     vertices: usize,
@@ -156,6 +158,9 @@ struct SplitRow {
     wall_s_mono: f64,
     wall_s_split: f64,
     speedup: f64,
+    nodes_mono: u64,
+    nodes_blocks: u64,
+    nodes_witness: u64,
     blocks: usize,
     kinds: Vec<String>,
 }
@@ -613,7 +618,8 @@ fn main() {
     // ---- split sweep: safe-separator divide and conquer on vs off -------
     println!("\nbench_smoke — BB-tw safe-separator split on vs off (best of {runs})\n");
     let mut spt = Table::new(&[
-        "Graph", "width", "status", "t_mono[s]", "t_split[s]", "speedup", "blocks", "kinds",
+        "Graph", "width", "status", "t_mono[s]", "t_split[s]", "speedup", "n_mono", "n_blocks",
+        "n_witness", "blocks", "kinds",
     ]);
     let mut split_rows: Vec<SplitRow> = Vec::new();
     for (name, g) in split_suite() {
@@ -681,6 +687,9 @@ fn main() {
             wall_s_mono: wall_mono,
             wall_s_split: wall_split,
             speedup: wall_mono / wall_split.max(1e-9),
+            nodes_mono: mono.nodes_expanded,
+            nodes_blocks: split.report.blocks.iter().map(|b| b.nodes).sum(),
+            nodes_witness: split.report.witness_nodes,
             blocks: split.report.blocks.len(),
             kinds,
         };
@@ -691,22 +700,15 @@ fn main() {
             format!("{:.4}", row.wall_s_mono),
             format!("{:.4}", row.wall_s_split),
             format!("{:.2}x", row.speedup),
+            row.nodes_mono.to_string(),
+            row.nodes_blocks.to_string(),
+            row.nodes_witness.to_string(),
             row.blocks.to_string(),
             row.kinds.join(","),
         ]);
         split_rows.push(row);
     }
     spt.print();
-
-    // the issue's headline claim: on blocky instances that complete inside
-    // the budget, splitting is at least 2x faster on at least two of them
-    let split_qualifying =
-        split_rows.iter().filter(|r| r.exact && r.speedup >= 2.0).count();
-    assert!(
-        split_qualifying >= 2,
-        "expected >= 2 completing blocky instances with split >= 2x, got {split_qualifying}"
-    );
-    println!("\nsplit gate: {split_qualifying} blocky instance(s) with split >= 2x");
 
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"bb_ghw_cover_cache\",\n");
@@ -843,6 +845,7 @@ fn main() {
             "    {{\"instance\": \"{}\", \"vertices\": {}, \"edges\": {}, \
              \"width\": {}, \"exact\": {}, \"certified\": {}, \
              \"wall_s_mono\": {:.6}, \"wall_s_split\": {:.6}, \"speedup\": {:.4}, \
+             \"nodes_mono\": {}, \"nodes_blocks\": {}, \"nodes_witness\": {}, \
              \"blocks\": {}, \"kinds\": [{}]}}{}\n",
             r.instance,
             r.vertices,
@@ -853,6 +856,9 @@ fn main() {
             r.wall_s_mono,
             r.wall_s_split,
             r.speedup,
+            r.nodes_mono,
+            r.nodes_blocks,
+            r.nodes_witness,
             r.blocks,
             kinds.join(", "),
             if i + 1 == split_rows.len() { "" } else { "," }

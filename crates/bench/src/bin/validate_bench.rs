@@ -232,7 +232,7 @@ fn check(doc: &Json) -> Vec<String> {
             }
         }
     }
-    // Safe-separator split-sweep rows: the monolithic vs split walls plus
+    // Safe-separator split-sweep rows: the monolithic vs split search plus
     // the block inventory. Mandatory — bench_smoke always emits the section.
     match doc.get("split_sweep").and_then(Json::as_array) {
         None => err("top-level `split_sweep` array missing".to_string()),
@@ -281,6 +281,20 @@ fn check(doc: &Json) -> Vec<String> {
                         }
                     }
                 }
+                // the split gate, on deterministic work: solving the blocks
+                // plus re-deriving the witness must expand fewer nodes than
+                // the monolithic search (seconds are reported, not gated)
+                let num = |key: &str| r.get(key).and_then(Json::as_f64);
+                if let (Some(mono), Some(blocks), Some(witness)) =
+                    (num("nodes_mono"), num("nodes_blocks"), num("nodes_witness"))
+                {
+                    if blocks + witness >= mono {
+                        err(format!(
+                            "{name}: split expanded {blocks} block + {witness} witness nodes, \
+                             not fewer than the monolithic {mono}"
+                        ));
+                    }
+                }
             }
         }
     }
@@ -295,6 +309,9 @@ const SPLIT_REQUIRED_NUMBERS: &[&str] = &[
     "wall_s_mono",
     "wall_s_split",
     "speedup",
+    "nodes_mono",
+    "nodes_blocks",
+    "nodes_witness",
     "blocks",
 ];
 
@@ -476,6 +493,7 @@ mod tests {
                 {"instance": "blocky", "vertices": 30, "edges": 76, "width": 11,
                  "exact": true, "certified": true,
                  "wall_s_mono": 0.005, "wall_s_split": 0.001, "speedup": 5.0,
+                 "nodes_mono": 74, "nodes_blocks": 28, "nodes_witness": 0,
                  "blocks": 2, "kinds": ["clique-separator", "clique-separator"]}
             ]}"#;
 
@@ -620,6 +638,14 @@ mod tests {
         let doc = Json::parse(&unsplit).unwrap();
         let errs = check(&doc);
         assert!(errs.iter().any(|e| e.contains("row did not split")), "{errs:?}");
+
+        // the split must save search: blocks + witness < monolithic nodes
+        let wasteful = WELL_FORMED.replace("\"nodes_witness\": 0", "\"nodes_witness\": 46");
+        let errs = check(&Json::parse(&wasteful).unwrap());
+        assert!(
+            errs.iter().any(|e| e.contains("split expanded 28 block + 46 witness nodes")),
+            "{errs:?}"
+        );
 
         // the kind inventory must account for every block
         let mismatched = WELL_FORMED.replace(
