@@ -4,10 +4,16 @@
 //! trace, or whose width is not backed by a passing certificate
 //! (`certified: true`) fails the gate *before* a human reads the numbers.
 //!
-//! With `--baseline <file>` it additionally diffs the wall clocks of every
-//! *completing* (exact) row against a committed baseline run and fails on a
-//! regression of more than 25% (plus a small absolute slack so sub-50ms
-//! rows don't flap on scheduler noise). Rows absent from the baseline are
+//! Every `split_sweep` row must also show the split saving search: its
+//! block solves plus the whole-instance witness expand fewer nodes than
+//! the monolithic search.
+//!
+//! With `--baseline <file>` it additionally requires every row that is
+//! exact in both files to reproduce the baseline's deterministic work
+//! counters exactly: width, nodes expanded, prune counters, cover-cache
+//! hits and misses, and the open/seen peak gauges. Seconds are reported
+//! but never gated here (wall-clock regressions belong to `perfbench`,
+//! which alternates runs on one host). Rows absent from the baseline are
 //! reported but don't fail — new instances may be added freely.
 //!
 //! ```text
@@ -20,12 +26,19 @@
 
 use ghd_core::json::Json;
 
-/// A completing row regresses when its wall clock exceeds the baseline by
-/// more than this factor...
-const REGRESSION_FACTOR: f64 = 1.25;
-/// ...plus this absolute slack (seconds): a 5 ms row that takes 8 ms is
-/// noise, not a regression.
-const REGRESSION_SLACK_S: f64 = 0.03;
+/// The deterministic work counters a row must reproduce from the baseline
+/// (whichever of them the baseline row carries).
+const COUNTERS: &[&str] = &[
+    "width",
+    "nodes_expanded",
+    "prunes",
+    "cache_hits",
+    "cache_misses",
+    "open_peak",
+    "seen_peak",
+    "open_peak_bytes",
+    "seen_peak_bytes",
+];
 
 /// Required numeric keys of every result record.
 const REQUIRED_NUMBERS: &[&str] = &[
@@ -184,54 +197,6 @@ fn check(doc: &Json) -> Vec<String> {
             }
         }
     }
-    // Parallel threads-sweep rows: the work-stealing and root-split walls
-    // against the sequential search, plus the steal counters. Mandatory —
-    // bench_smoke always emits the section now.
-    if doc.get("hw_threads").and_then(Json::as_f64).is_none() {
-        err("top-level `hw_threads` number missing".to_string());
-    }
-    match doc.get("threads_sweep").and_then(Json::as_array) {
-        None => err("top-level `threads_sweep` array missing".to_string()),
-        Some([]) => err("`threads_sweep` is empty".to_string()),
-        Some(rs) => {
-            for (i, r) in rs.iter().enumerate() {
-                let name = r
-                    .get("instance")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| {
-                        err(format!("threads_sweep[{i}]: `instance` string missing"));
-                        format!("threads_sweep[{i}]")
-                    });
-                for &key in SWEEP_REQUIRED_NUMBERS {
-                    if r.get(key).and_then(Json::as_f64).is_none() {
-                        err(format!("{name}: number `{key}` missing"));
-                    }
-                }
-                if r.get("exact").and_then(Json::as_bool).is_none() {
-                    err(format!("{name}: boolean `exact` missing"));
-                }
-                match r.get("certified").and_then(Json::as_bool) {
-                    Some(true) => {}
-                    Some(false) => err(format!("{name}: width is not certified")),
-                    None => err(format!("{name}: boolean `certified` missing")),
-                }
-                // scheduler conservation: every execution is either the seed
-                // task or a published one (retries re-execute a published id)
-                if let (Some(published), Some(executed), Some(retried)) = (
-                    r.get("published").and_then(Json::as_f64),
-                    r.get("executed").and_then(Json::as_f64),
-                    r.get("retried").and_then(Json::as_f64),
-                ) {
-                    if executed != published + 1.0 + retried {
-                        err(format!(
-                            "{name}: executed {executed} != published {published} + 1 + retried {retried}"
-                        ));
-                    }
-                }
-            }
-        }
-    }
     // Safe-separator split-sweep rows: the monolithic vs split search plus
     // the block inventory. Mandatory — bench_smoke always emits the section.
     match doc.get("split_sweep").and_then(Json::as_array) {
@@ -315,23 +280,6 @@ const SPLIT_REQUIRED_NUMBERS: &[&str] = &[
     "blocks",
 ];
 
-/// Required numeric keys of every `threads_sweep` record.
-const SWEEP_REQUIRED_NUMBERS: &[&str] = &[
-    "threads",
-    "vertices",
-    "edges",
-    "width",
-    "wall_s_seq",
-    "wall_s_steal",
-    "wall_s_rootsplit",
-    "speedup_steal",
-    "speedup_rootsplit",
-    "published",
-    "executed",
-    "stolen",
-    "retried",
-];
-
 /// Required numeric keys of every `astar_results` record.
 const ASTAR_REQUIRED_NUMBERS: &[&str] = &[
     "vertices",
@@ -347,23 +295,14 @@ const ASTAR_REQUIRED_NUMBERS: &[&str] = &[
     "seen_peak_bytes",
 ];
 
-/// Wall-clock regression diff against a committed baseline document. Only
-/// *exact* (completing) rows are compared — a budget-capped run burns its
-/// whole budget by construction and says nothing about speed. Returns
-/// violations; prints one informational line per row without a baseline
-/// counterpart.
-fn check_regressions(doc: &Json, base: &Json) -> Vec<String> {
+/// Counter diff against a committed baseline document. Only rows *exact*
+/// in both files are compared — a budget-capped run stops wherever its
+/// budget ran out. Returns violations; prints one informational line per
+/// row without a comparable baseline counterpart.
+fn check_baseline(doc: &Json, base: &Json) -> Vec<String> {
     let mut errs = Vec::new();
-    // (section, match keys, wall key) — BB rows match by instance alone,
-    // A* rows by (instance, algo); sweep row names embed the thread count
-    // (`grid2d_6@t4`), so instance alone is already unique
-    let sections: [(&str, bool, &str); 4] = [
-        ("results", false, "wall_s_cache_on"),
-        ("astar_results", true, "wall_s"),
-        ("threads_sweep", false, "wall_s_steal"),
-        ("split_sweep", false, "wall_s_split"),
-    ];
-    for (section, match_algo, wall_key) in sections {
+    // BB rows match by instance alone, A* rows by (instance, algo)
+    for (section, match_algo) in [("results", false), ("astar_results", true)] {
         let rows = doc.get(section).and_then(Json::as_array).unwrap_or(&[]);
         let base_rows = base.get(section).and_then(Json::as_array).unwrap_or(&[]);
         for r in rows {
@@ -377,9 +316,6 @@ fn check_regressions(doc: &Json, base: &Json) -> Vec<String> {
             } else {
                 inst.to_string()
             };
-            let Some(wall) = r.get(wall_key).and_then(Json::as_f64) else {
-                continue; // schema check already reported it
-            };
             let baseline = base_rows.iter().find(|b| {
                 b.get("instance").and_then(Json::as_str) == Some(inst)
                     && (!match_algo || b.get("algo").and_then(Json::as_str) == Some(algo))
@@ -392,19 +328,24 @@ fn check_regressions(doc: &Json, base: &Json) -> Vec<String> {
                 println!("validate_bench: {tag}: baseline row not exact, not compared");
                 continue;
             }
-            let Some(base_wall) = b.get(wall_key).and_then(Json::as_f64) else {
-                continue;
-            };
-            let limit = base_wall * REGRESSION_FACTOR + REGRESSION_SLACK_S;
-            if wall > limit {
-                errs.push(format!(
-                    "{tag}: {wall_key} {wall:.3}s regressed past {limit:.3}s \
-                     (baseline {base_wall:.3}s × {REGRESSION_FACTOR} + {REGRESSION_SLACK_S}s)"
-                ));
+            for &key in COUNTERS {
+                let Some(want) = b.get(key) else { continue };
+                let got = r.get(key);
+                if got != Some(want) {
+                    errs.push(format!("{tag}: {key} {} != baseline {}", show(got), show(Some(want))));
+                }
             }
         }
     }
     errs
+}
+
+/// A counter value for a violation message.
+fn show(v: Option<&Json>) -> String {
+    match v {
+        None => "missing".to_string(),
+        Some(j) => j.as_f64().map_or_else(|| format!("{j:?}"), |x| x.to_string()),
+    }
 }
 
 fn load(path: &str) -> Json {
@@ -443,7 +384,7 @@ fn main() {
     let mut errs = check(&doc);
     if let Some(base_path) = baseline {
         let base = load(&base_path);
-        errs.extend(check_regressions(&doc, &base));
+        errs.extend(check_baseline(&doc, &base));
     }
     if errs.is_empty() {
         let n = doc
@@ -465,7 +406,7 @@ mod tests {
     use super::*;
 
     /// A complete, valid document exercising all three sections.
-    const WELL_FORMED: &str = r#"{"bench": "bb_ghw_cover_cache", "hw_threads": 8, "results": [
+    const WELL_FORMED: &str = r#"{"bench": "bb_ghw_cover_cache", "results": [
                 {"instance": "g", "vertices": 4, "edges": 4, "width": 2,
                  "width_cache_off": 2, "lower_bound": 2, "exact": true,
                  "certified": true, "faults": [],
@@ -481,13 +422,6 @@ mod tests {
                  "wall_s": 0.2, "wall_s_min": 0.18, "samples": 3,
                  "nodes_expanded": 120, "open_peak": 40, "seen_peak": 80,
                  "open_peak_bytes": 4096, "seen_peak_bytes": 9000}
-            ],
-            "threads_sweep": [
-                {"instance": "g@t4", "threads": 4, "vertices": 4, "edges": 4,
-                 "width": 2, "exact": true, "certified": true,
-                 "wall_s_seq": 0.08, "wall_s_steal": 0.03, "wall_s_rootsplit": 0.06,
-                 "speedup_steal": 2.6667, "speedup_rootsplit": 1.3333,
-                 "published": 10, "executed": 11, "stolen": 6, "retried": 0}
             ],
             "split_sweep": [
                 {"instance": "blocky", "vertices": 30, "edges": 76, "width": 11,
@@ -553,71 +487,46 @@ mod tests {
     }
 
     #[test]
-    fn baseline_diff_flags_only_real_regressions() {
+    fn baseline_diff_flags_counter_drift_not_seconds() {
         let base = Json::parse(WELL_FORMED).unwrap();
 
-        // identical run: no regression
+        // identical run: nothing to report
         let doc = Json::parse(WELL_FORMED).unwrap();
-        assert_eq!(check_regressions(&doc, &base), Vec::<String>::new());
+        assert_eq!(check_baseline(&doc, &base), Vec::<String>::new());
 
-        // within 25% + slack: still fine
-        let ok = WELL_FORMED
-            .replace("\"wall_s_cache_on\": 0.05", "\"wall_s_cache_on\": 0.06")
-            .replace("\"wall_s\": 0.2", "\"wall_s\": 0.24");
-        let doc = Json::parse(&ok).unwrap();
-        assert_eq!(check_regressions(&doc, &base), Vec::<String>::new());
+        // slower or faster seconds are not a violation
+        let slow = WELL_FORMED
+            .replace("\"wall_s_cache_on\": 0.05", "\"wall_s_cache_on\": 5.0")
+            .replace("\"wall_s\": 0.2", "\"wall_s\": 20.0");
+        let doc = Json::parse(&slow).unwrap();
+        assert_eq!(check_baseline(&doc, &base), Vec::<String>::new());
 
-        // far past the envelope on all three sections: all flagged
-        let bad = WELL_FORMED
-            .replace("\"wall_s_cache_on\": 0.05", "\"wall_s_cache_on\": 0.5")
-            .replace("\"wall_s\": 0.2", "\"wall_s\": 2.0")
-            .replace("\"wall_s_steal\": 0.03", "\"wall_s_steal\": 0.9");
-        let doc = Json::parse(&bad).unwrap();
-        let errs = check_regressions(&doc, &base);
+        // one counter off by one in each section: both flagged
+        let drift = WELL_FORMED
+            .replace("\"cache_misses\": 4", "\"cache_misses\": 5")
+            .replace("\"seen_peak_bytes\": 9000", "\"seen_peak_bytes\": 9001")
+            .replace("\"f_prunes\": 5", "\"f_prunes\": 6");
+        let doc = Json::parse(&drift).unwrap();
+        let errs = check_baseline(&doc, &base);
         assert_eq!(errs.len(), 3, "{errs:?}");
-        assert!(errs.iter().any(|e| e.starts_with("g: ")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.starts_with("astar_tw/a: ")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.starts_with("g@t4: ")), "{errs:?}");
-
-        // a non-exact row burns its budget by construction; never compared
-        let capped = WELL_FORMED.replace(
-            "\"width\": 3, \"exact\": true",
-            "\"width\": 3, \"exact\": false",
+        assert!(errs.contains(&"g: cache_misses 5 != baseline 4".to_string()), "{errs:?}");
+        assert!(errs.iter().any(|e| e.starts_with("g: prunes ")), "{errs:?}");
+        assert!(
+            errs.contains(&"astar_tw/a: seen_peak_bytes 9001 != baseline 9000".to_string()),
+            "{errs:?}"
         );
-        let doc = Json::parse(&capped.replace("\"wall_s\": 0.2", "\"wall_s\": 9.0")).unwrap();
-        assert_eq!(check_regressions(&doc, &base), Vec::<String>::new());
+
+        // a non-exact row stops wherever its budget ran out; never compared
+        let capped = WELL_FORMED
+            .replace("\"width\": 3, \"exact\": true", "\"width\": 3, \"exact\": false")
+            .replace("\"nodes_expanded\": 120", "\"nodes_expanded\": 90");
+        let doc = Json::parse(&capped).unwrap();
+        assert_eq!(check_baseline(&doc, &base), Vec::<String>::new());
 
         // rows missing from the baseline are informational, not failures
         let renamed = WELL_FORMED.replace("\"instance\": \"a\"", "\"instance\": \"a2\"");
         let doc = Json::parse(&renamed).unwrap();
-        assert_eq!(check_regressions(&doc, &base), Vec::<String>::new());
-    }
-
-    #[test]
-    fn sweep_rows_need_counters_that_balance() {
-        // the section itself is mandatory, as is the hw_threads gauge
-        let doc = Json::parse(r#"{"bench": "x", "results": [{"instance": "g"}]}"#).unwrap();
-        let errs = check(&doc);
-        assert!(errs.iter().any(|e| e.contains("`threads_sweep` array missing")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("`hw_threads` number missing")), "{errs:?}");
-
-        // every execution must be accounted for: seed + published + retries
-        let broken = WELL_FORMED.replace("\"executed\": 11", "\"executed\": 13");
-        let doc = Json::parse(&broken).unwrap();
-        let errs = check(&doc);
-        assert!(
-            errs.iter().any(|e| e.contains("executed 13 != published 10 + 1 + retried 0")),
-            "{errs:?}"
-        );
-
-        // an uncertified sweep width fails the gate
-        let uncert = WELL_FORMED.replace(
-            "\"width\": 2, \"exact\": true, \"certified\": true,",
-            "\"width\": 2, \"exact\": true, \"certified\": false,",
-        );
-        let doc = Json::parse(&uncert).unwrap();
-        let errs = check(&doc);
-        assert!(errs.contains(&"g@t4: width is not certified".to_string()), "{errs:?}");
+        assert_eq!(check_baseline(&doc, &base), Vec::<String>::new());
     }
 
     #[test]
@@ -664,13 +573,6 @@ mod tests {
         let doc = Json::parse(&uncert).unwrap();
         let errs = check(&doc);
         assert!(errs.contains(&"blocky: width is not certified".to_string()), "{errs:?}");
-
-        // a regressed wall_s_split is flagged against the baseline
-        let base = Json::parse(WELL_FORMED).unwrap();
-        let slow = WELL_FORMED.replace("\"wall_s_split\": 0.001", "\"wall_s_split\": 0.9");
-        let doc = Json::parse(&slow).unwrap();
-        let errs = check_regressions(&doc, &base);
-        assert!(errs.iter().any(|e| e.starts_with("blocky: ")), "{errs:?}");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! fault must degrade exactly one request — never the daemon.
 
 use ghd_cli::{run, CliSolver};
+use ghd_par::fault::{self, FaultPlan};
 use ghd_serve::{Client, Request, Server, ServerConfig, Solver};
 use std::sync::Arc;
 use std::thread;
@@ -17,10 +18,21 @@ fn strings(args: &[&str]) -> Vec<String> {
 }
 
 fn boot(cfg: ServerConfig) -> (String, thread::JoinHandle<String>) {
+    boot_under(cfg, FaultPlan::new())
+}
+
+/// Boots a daemon whose run (and only its run) carries the fault `plan`.
+fn boot_under(cfg: ServerConfig, plan: FaultPlan) -> (String, thread::JoinHandle<String>) {
     let server = Server::bind("127.0.0.1:0", cfg, Arc::new(CliSolver::default()) as Arc<dyn Solver>)
         .expect("bind a free port");
     let addr = server.local_addr();
-    (addr, thread::spawn(move || server.run()))
+    (
+        addr,
+        thread::spawn(move || {
+            let _scope = fault::install(plan);
+            server.run()
+        }),
+    )
 }
 
 fn shutdown(addr: &str, handle: thread::JoinHandle<String>) -> String {
@@ -42,8 +54,6 @@ fn concurrent_mixed_workload_is_byte_identical_then_cached() {
     let hpath = tmp("gridh.hg", &gridh);
 
     // the ground truth: one-shot CLI output per (cmd, file, flags)
-    // (sequential methods only — the fault-injection test owns the
-    // process-global fault plan for parallel tasks)
     let jobs: Vec<(String, String, Vec<String>, String)> = vec![
         ("tw".into(), grid.clone(), strings(&["--method", "bb"]), run_args(&["tw", &gpath, "--method", "bb"])),
         ("tw".into(), grid.clone(), strings(&["--method", "astar"]), run_args(&["tw", &gpath, "--method", "astar"])),
@@ -81,13 +91,18 @@ fn concurrent_mixed_workload_is_byte_identical_then_cached() {
         c.join().expect("client thread");
     }
 
-    // warm phase: every re-submission is a pure cache hit
+    // warm phase: every re-submission is a pure cache hit, and reports
+    // the real time its key and probe took
     let mut client = Client::connect(&addr).expect("connect warm");
     for (cmd, instance, args, expect) in &jobs {
+        let sent = std::time::Instant::now();
         let resp = client.request(&Request::solve(None, cmd, instance, args)).unwrap();
+        let round_trip = sent.elapsed().as_secs_f64();
         assert_eq!(resp.cache_hit, Some(true), "warm run must hit: {cmd} {args:?}");
         assert_eq!(resp.nodes_expanded, Some(0));
         assert_eq!(resp.body.as_deref(), Some(expect.as_str()));
+        let wall = resp.wall_s.expect("a hit reports wall_s");
+        assert!(wall > 0.0 && wall < round_trip, "hit wall_s {wall} vs round trip {round_trip}");
     }
     // canonicalization: a re-commented, re-formatted copy of the same
     // instance is the same cache entry (and the same one-shot answer)
@@ -120,26 +135,24 @@ fn concurrent_mixed_workload_is_byte_identical_then_cached() {
 /// on serving exact answers afterwards.
 #[test]
 fn injected_worker_fault_degrades_one_request_not_the_daemon() {
-    use ghd_par::fault::{self, FaultPlan};
-
     let hg = run_args(&["gen", "grid2d-h", "5"]);
-    let (addr, handle) = boot(ServerConfig { workers: 1, ..ServerConfig::default() });
+    // kill parallel task 0 twice: the runtime retries a faulted task
+    // once, so a double kill makes the fault permanent for the first
+    // request, and one-shot kills leave nothing for the requests after it
+    let plan = FaultPlan::new().kill_task(0).kill_task(0);
+    let (addr, handle) = boot_under(ServerConfig { workers: 1, ..ServerConfig::default() }, plan);
     let mut client = Client::connect(&addr).expect("connect");
     let args = strings(&["--method", "bb", "--threads", "2"]);
 
-    // kill parallel task 0 twice: the runtime retries a faulted task
-    // once, so a double kill makes the fault permanent for this request
-    let degraded = {
-        let _scope = fault::install(FaultPlan::new().kill_task(0).kill_task(0));
-        client.request(&Request::solve(Some(1), "ghw", &hg, &args)).expect("roundtrip")
-    };
+    let degraded =
+        client.request(&Request::solve(Some(1), "ghw", &hg, &args)).expect("roundtrip");
     assert!(degraded.ok, "a faulted request is degraded, not dropped: {degraded:?}");
     assert!(degraded.faults.unwrap_or(0) >= 1, "{degraded:?}");
     assert_eq!(degraded.exact, Some(false), "exactness is withdrawn");
     let body = degraded.body.expect("anytime bounds body");
     assert!(body.contains("<= width <="), "{body}");
 
-    // plan dropped: the same request now completes exact on the same
+    // kills spent: the same request now completes exact on the same
     // daemon, and was never poisoned by the degraded result (which is
     // barred from the cache)
     let clean = client.request(&Request::solve(Some(2), "ghw", &hg, &args)).expect("roundtrip");

@@ -1,37 +1,44 @@
 //! Deterministic fault injection for the contained fork-join helpers.
 //!
-//! Production builds never install a plan, so [`fault_point`] is a single
-//! relaxed atomic load on the hot path. Tests and benches install a
-//! [`FaultPlan`] via [`install`] to make the *n*th task panic (one-shot:
-//! each kill target fires at most once, so a retry of the same task
-//! succeeds deterministically) or to inject seeded, bounded delays that
-//! shuffle scheduling without changing any result.
+//! A [`FaultPlan`] is armed for one run. [`install`] arms it on the calling
+//! thread only, and every helper that starts worker threads for a run hands
+//! the spawning thread's plan to those workers ([`inherit`] /
+//! [`Inherited::adopt`]). A plan therefore reaches exactly the threads its
+//! own run started: concurrent runs that armed nothing never see it. With
+//! no plan armed, [`fault_point`] is one thread-local read.
 //!
-//! Installation is guarded by a process-wide scope lock: two tests that
-//! both install plans serialise instead of observing each other's faults.
-//! Dropping the returned [`FaultScope`] clears the plan.
+//! A plan makes the *n*th task panic (one-shot and shared by every thread
+//! of the run: each kill target fires at most once, so a retry of the same
+//! task succeeds deterministically), injects seeded, bounded delays that
+//! shuffle scheduling without changing any result, or shrinks the id
+//! capacity of the interner shards the run builds.
 //!
 //! ```
 //! use ghd_par::fault::{self, FaultPlan};
 //!
-//! let _scope = fault::install(FaultPlan::new().kill_task(3));
+//! let scope = fault::install(FaultPlan::new().kill_task(3));
 //! let out = ghd_par::parallel_map_contained(&[0u32, 1, 2, 3, 4], 2, |&x| x);
 //! assert_eq!(out.faults.len(), 1);
 //! assert_eq!(out.faults[0].task, 3);
 //! assert!(out.results[3].is_none());
+//! assert_eq!(scope.fired(), 1);
 //! ```
 
 use ghd_prng::{Rng, SplitMix64};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// A declarative fault schedule: which task indices to kill (one-shot) and
-/// an optional seeded delay jitter applied to every task.
+/// A declarative fault schedule: which task indices to kill (one-shot), an
+/// optional seeded delay jitter applied to every task, and an optional
+/// interner-shard id capacity.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     kills: Vec<usize>,
     delay: Option<(u64, u64)>,
+    shard_capacity: Option<u32>,
 }
 
 impl FaultPlan {
@@ -55,6 +62,16 @@ impl FaultPlan {
         self.delay = Some((seed, max_micros));
         self
     }
+
+    /// Caps the id space of every interner shard the run builds at `cap`
+    /// states, so a test reaches the shard-overflow path without
+    /// interning 2^27 states.
+    #[must_use]
+    pub fn shard_capacity(mut self, cap: u32) -> Self {
+        assert!(cap > 0, "a shard needs room for at least one state");
+        self.shard_capacity = Some(cap);
+        self
+    }
 }
 
 /// What [`fault_point`] decided to do for one task.
@@ -64,91 +81,113 @@ enum Action {
     Kill,
 }
 
-struct ActivePlan {
-    kills: Vec<usize>,
+/// An armed plan, shared by every thread of the run that armed it.
+struct Armed {
+    kills: Mutex<Vec<usize>>,
     delay: Option<(u64, u64)>,
-    fired: u64,
+    shard_capacity: Option<u32>,
+    fired: AtomicU64,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ACTIVE: Mutex<Option<ActivePlan>> = Mutex::new(None);
-static SCOPE: Mutex<()> = Mutex::new(());
-
-/// Locks a mutex, shrugging off poison: the fault module must keep working
-/// after a worker it killed unwound past one of these guards.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+impl Armed {
+    /// Decides under the kill lock and releases it before returning, so a
+    /// kill never unwinds through the lock.
+    fn action(&self, task: usize) -> Action {
+        let mut kills = self.kills.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(pos) = kills.iter().position(|&k| k == task) {
+            kills.swap_remove(pos);
+            self.fired.fetch_add(1, Ordering::Relaxed);
+            return Action::Kill;
+        }
+        match self.delay {
+            Some((seed, max_micros)) if max_micros > 0 => {
+                // Per-task stream: same (seed, task) → same delay,
+                // independent of scheduling.
+                let mut rng =
+                    SplitMix64::new(seed ^ (task as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                Action::Sleep(Duration::from_micros(rng.next_u64() % max_micros))
+            }
+            _ => Action::Nothing,
+        }
+    }
 }
 
-/// RAII guard returned by [`install`]; the plan stays active until this is
-/// dropped. Holding it also holds the process-wide scope lock, serialising
-/// concurrent installers across tests.
+thread_local! {
+    static PLAN: RefCell<Option<Arc<Armed>>> = const { RefCell::new(None) };
+}
+
+/// RAII guard returned by [`install`]: the plan stays armed on the
+/// installing thread (and on the workers its runs start) until this is
+/// dropped, which restores the thread's previous plan. Not `Send`: it
+/// belongs to the thread it armed.
 pub struct FaultScope {
-    _scope: MutexGuard<'static, ()>,
+    armed: Arc<Armed>,
+    previous: Option<Arc<Armed>>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl FaultScope {
-    /// How many faults (kills) the installed plan has fired so far.
+    /// How many faults (kills) the installed plan has fired so far, across
+    /// every thread of its run.
     pub fn fired(&self) -> u64 {
-        lock_unpoisoned(&ACTIVE).as_ref().map_or(0, |p| p.fired)
+        self.armed.fired.load(Ordering::Relaxed)
     }
 }
 
 impl Drop for FaultScope {
     fn drop(&mut self) {
-        *lock_unpoisoned(&ACTIVE) = None;
-        ARMED.store(false, Ordering::Release);
+        let previous = self.previous.take();
+        PLAN.with(|p| *p.borrow_mut() = previous);
     }
 }
 
-/// Installs `plan` process-wide and returns the guard keeping it active.
-/// Blocks until any previously installed plan is dropped.
+/// Arms `plan` on the calling thread and returns the guard keeping it
+/// armed.
 pub fn install(plan: FaultPlan) -> FaultScope {
-    let scope = lock_unpoisoned(&SCOPE);
-    *lock_unpoisoned(&ACTIVE) = Some(ActivePlan {
-        kills: plan.kills,
+    let armed = Arc::new(Armed {
+        kills: Mutex::new(plan.kills),
         delay: plan.delay,
-        fired: 0,
+        shard_capacity: plan.shard_capacity,
+        fired: AtomicU64::new(0),
     });
-    ARMED.store(true, Ordering::Release);
-    FaultScope { _scope: scope }
+    let previous = PLAN.with(|p| p.replace(Some(Arc::clone(&armed))));
+    FaultScope {
+        armed,
+        previous,
+        _thread_bound: PhantomData,
+    }
+}
+
+/// The plan armed on a spawning thread, on its way to a worker thread.
+#[derive(Clone, Default)]
+pub struct Inherited(Option<Arc<Armed>>);
+
+/// Captures the calling thread's plan (if any) for the worker threads its
+/// run is about to start.
+pub fn inherit() -> Inherited {
+    Inherited(PLAN.with(|p| p.borrow().clone()))
+}
+
+impl Inherited {
+    /// Arms the captured plan on the calling thread, a worker that the
+    /// capturing thread's run started.
+    pub fn adopt(self) {
+        if self.0.is_some() {
+            PLAN.with(|p| *p.borrow_mut() = self.0);
+        }
+    }
+}
+
+/// The interner-shard id capacity the calling thread's plan sets, if any.
+pub fn shard_capacity() -> Option<u32> {
+    PLAN.with(|p| p.borrow().as_ref().and_then(|a| a.shard_capacity))
 }
 
 /// The hook the contained helpers call before running each task. With no
-/// plan installed this is one relaxed atomic load. With a plan: decides
-/// under the lock, **drops the lock**, then sleeps or panics — so the
-/// unwinding never poisons the plan state.
+/// plan armed on this thread it is one thread-local read; with a plan it
+/// sleeps or panics as the plan decides.
 pub(crate) fn fault_point(worker: usize, task: usize) {
-    if !ARMED.load(Ordering::Acquire) {
-        return;
-    }
-    let action = {
-        let mut guard = lock_unpoisoned(&ACTIVE);
-        match guard.as_mut() {
-            None => Action::Nothing,
-            Some(plan) => {
-                if let Some(pos) = plan.kills.iter().position(|&k| k == task) {
-                    plan.kills.swap_remove(pos);
-                    plan.fired += 1;
-                    Action::Kill
-                } else if let Some((seed, max_micros)) = plan.delay {
-                    if max_micros == 0 {
-                        Action::Nothing
-                    } else {
-                        // Per-task stream: same (seed, task) → same delay,
-                        // independent of scheduling.
-                        let mut rng = SplitMix64::new(
-                            seed ^ (task as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                        );
-                        Action::Sleep(Duration::from_micros(rng.next_u64() % max_micros))
-                    }
-                } else {
-                    Action::Nothing
-                }
-            }
-        }
-        // guard dropped here, before any panic/sleep
-    };
+    let action = PLAN.with(|p| p.borrow().as_ref().map_or(Action::Nothing, |a| a.action(task)));
     match action {
         Action::Nothing => {}
         Action::Sleep(d) => std::thread::sleep(d),
@@ -162,12 +201,9 @@ mod tests {
 
     #[test]
     fn unarmed_fault_point_is_a_noop() {
-        // No plan installed (and the scope lock ensures no concurrent test
-        // installed one for us to trip over).
-        let _scope = lock_unpoisoned(&SCOPE);
-        ARMED.store(false, Ordering::Release);
         fault_point(0, 0);
         fault_point(7, 123);
+        assert_eq!(shard_capacity(), None);
     }
 
     #[test]
@@ -189,5 +225,17 @@ mod tests {
         // And the hook itself survives a delay plan without panicking.
         let _scope = install(FaultPlan::new().delay(9, 50));
         fault_point(1, 5);
+    }
+
+    #[test]
+    fn scopes_nest_and_restore_the_previous_plan() {
+        let outer = install(FaultPlan::new().shard_capacity(8));
+        {
+            let _inner = install(FaultPlan::new().shard_capacity(2));
+            assert_eq!(shard_capacity(), Some(2));
+        }
+        assert_eq!(shard_capacity(), Some(8));
+        drop(outer);
+        assert_eq!(shard_capacity(), None);
     }
 }

@@ -16,13 +16,11 @@
 //!   portfolio's "one poisoned subtree does not abort the run" guarantee.
 //! * [`for_each_mut`] — in-place fork-join over disjoint `&mut` items (used
 //!   by SAIGA's island evolution, where every island owns its generator).
-//! * [`ThreadPool`] — a small queue-of-closures pool for `'static` jobs
-//!   (used by long-lived services; the fork-join helpers use scoped threads
-//!   and need no pool).
 //! * [`fault`] — a deterministic fault-injection hook (test/bench-only):
-//!   an installed [`fault::FaultPlan`] kills the nth task (one-shot) or
-//!   injects seeded delays, so integration tests can prove graceful
-//!   degradation without OS-level tricks.
+//!   a [`fault::FaultPlan`] armed for one run kills the nth task (one-shot)
+//!   or injects seeded delays, so integration tests can prove graceful
+//!   degradation without OS-level tricks. The helpers below hand the
+//!   calling thread's plan to the workers they start, and to no one else.
 //!
 //! Work distribution uses an atomic cursor (work stealing by chunk), so
 //! uneven item costs — ubiquitous in branch-and-bound root splitting — do
@@ -46,29 +44,10 @@
 //! let xs: Vec<u64> = (0..100).collect();
 //! let squares = ghd_par::parallel_map(&xs, 0, |&x| x * x);
 //! assert_eq!(squares[17], 17 * 17);
-//!
-//! // Fork-join two closures.
-//! let (a, b) = ghd_par::join(|| 2 + 2, || "done");
-//! assert_eq!((a, b), (4, "done"));
-//!
-//! // A tiny pool for fire-and-forget 'static jobs.
-//! use std::sync::atomic::{AtomicUsize, Ordering};
-//! use std::sync::Arc;
-//! let pool = ghd_par::ThreadPool::new(2);
-//! let hits = Arc::new(AtomicUsize::new(0));
-//! for _ in 0..8 {
-//!     let hits = Arc::clone(&hits);
-//!     pool.execute(move || {
-//!         hits.fetch_add(1, Ordering::Relaxed);
-//!     });
-//! }
-//! pool.wait_idle();
-//! assert_eq!(hits.load(Ordering::Relaxed), 8);
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 use std::thread;
 
 pub mod fault;
@@ -178,6 +157,21 @@ fn effective_threads(requested: usize, work_items: usize) -> usize {
     t.clamp(1, work_items.max(1))
 }
 
+/// Runs `worker(w)` for every `w < threads`, each on its own scoped thread
+/// armed with the calling thread's fault plan, and joins them all.
+fn run_workers(threads: usize, worker: impl Fn(usize) + Sync) {
+    let plan = fault::inherit();
+    thread::scope(|scope| {
+        for w in 0..threads {
+            let (plan, worker) = (plan.clone(), &worker);
+            scope.spawn(move || {
+                plan.adopt();
+                worker(w);
+            });
+        }
+    });
+}
+
 /// Fault-contained fork-join map: applies `f` to every element of `items`
 /// on up to `threads` workers (`0` = auto), running each task through
 /// [`run_contained`]. A panicking task leaves its result slot `None` and
@@ -213,24 +207,19 @@ where
     let slots: Vec<Mutex<&mut Option<U>>> = out.iter_mut().map(Mutex::new).collect();
     let cursor = AtomicUsize::new(0);
     let faults: Mutex<Vec<WorkerFault>> = Mutex::new(Vec::new());
-    thread::scope(|scope| {
-        for w in 0..threads {
-            let (slots, cursor, faults, f) = (&slots, &cursor, &faults, &f);
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                match run_contained(w, i, || f(&items[i])) {
-                    Ok(value) => {
-                        **slots[i].lock().expect("result slot poisoned") = Some(value);
-                    }
-                    Err(fault) => faults
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(fault),
-                }
-            });
+    run_workers(threads, |w| loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        match run_contained(w, i, || f(&items[i])) {
+            Ok(value) => {
+                **slots[i].lock().expect("result slot poisoned") = Some(value);
+            }
+            Err(fault) => faults
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push(fault),
         }
     });
     drop(slots);
@@ -297,23 +286,18 @@ where
     let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
     let cursor = AtomicUsize::new(0);
     let faults: Mutex<Vec<WorkerFault>> = Mutex::new(Vec::new());
-    thread::scope(|scope| {
-        for w in 0..threads {
-            let (slots, cursor, faults, f) = (&slots, &cursor, &faults, &f);
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let mut guard = slots[i].lock().expect("item slot poisoned");
-                if let Err(fault) = run_contained(w, i, || f(i, &mut guard)) {
-                    drop(guard);
-                    faults
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(fault);
-                }
-            });
+    run_workers(threads, |w| loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let mut guard = slots[i].lock().expect("item slot poisoned");
+        if let Err(fault) = run_contained(w, i, || f(i, &mut guard)) {
+            drop(guard);
+            faults
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push(fault);
         }
     });
     let mut faults = faults
@@ -340,142 +324,12 @@ where
     }
 }
 
-/// Runs the two closures, potentially in parallel, and returns both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if num_threads() <= 1 {
-        return (a(), b());
-    }
-    thread::scope(|scope| {
-        let hb = scope.spawn(b);
-        let ra = a();
-        let rb = hb.join().expect("joined task panicked");
-        (ra, rb)
-    })
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolState {
-    queue: VecDeque<Job>,
-    in_flight: usize,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Signalled when work arrives or shutdown begins.
-    work: Condvar,
-    /// Signalled when the pool drains (queue empty, nothing in flight).
-    idle: Condvar,
-}
-
-/// A fixed-size thread pool for `'static` jobs with a [`ThreadPool::wait_idle`]
-/// barrier. Workers are joined on drop.
-pub struct ThreadPool {
-    shared: Arc<PoolShared>,
-    workers: Vec<thread::JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    /// Spawns `threads` workers (`0` = auto).
-    pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 { num_threads() } else { threads };
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                in_flight: 0,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            idle: Condvar::new(),
-        });
-        let workers = (0..threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("ghd-par-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("failed to spawn pool worker")
-            })
-            .collect();
-        ThreadPool { shared, workers }
-    }
-
-    /// Number of workers.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Enqueues a job.
-    pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
-        let mut st = self.shared.state.lock().expect("pool state poisoned");
-        assert!(!st.shutdown, "execute after shutdown");
-        st.queue.push_back(Box::new(job));
-        drop(st);
-        self.shared.work.notify_one();
-    }
-
-    /// Blocks until the queue is empty and no job is running.
-    pub fn wait_idle(&self) {
-        let mut st = self.shared.state.lock().expect("pool state poisoned");
-        while !st.queue.is_empty() || st.in_flight > 0 {
-            st = self.shared.idle.wait(st).expect("pool state poisoned");
-        }
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("pool state poisoned");
-            st.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &PoolShared) {
-    loop {
-        let job = {
-            let mut st = shared.state.lock().expect("pool state poisoned");
-            loop {
-                if let Some(job) = st.queue.pop_front() {
-                    st.in_flight += 1;
-                    break job;
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = shared.work.wait(st).expect("pool state poisoned");
-            }
-        };
-        job();
-        let mut st = shared.state.lock().expect("pool state poisoned");
-        st.in_flight -= 1;
-        if st.queue.is_empty() && st.in_flight == 0 {
-            shared.idle.notify_all();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn parallel_map_preserves_order() {
-        // serialize with fault-plan-installing tests (process-global hook)
-        let _guard = fault::install(fault::FaultPlan::new());
         let xs: Vec<usize> = (0..257).collect();
         for threads in [1, 2, 3, 8] {
             let ys = parallel_map(&xs, threads, |&x| x * 3);
@@ -485,8 +339,6 @@ mod tests {
 
     #[test]
     fn parallel_map_handles_empty_and_singleton() {
-        // serialize with fault-plan-installing tests (process-global hook)
-        let _guard = fault::install(fault::FaultPlan::new());
         let empty: Vec<u8> = Vec::new();
         assert!(parallel_map(&empty, 4, |&x| x).is_empty());
         assert_eq!(parallel_map(&[9], 4, |&x| x + 1), vec![10]);
@@ -494,8 +346,6 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_for_uneven_work() {
-        // serialize with fault-plan-installing tests (process-global hook)
-        let _guard = fault::install(fault::FaultPlan::new());
         let xs: Vec<u64> = (0..64).collect();
         let seq = parallel_map(&xs, 1, |&x| (0..(x % 7) * 1000).sum::<u64>() + x);
         let par = parallel_map(&xs, 4, |&x| (0..(x % 7) * 1000).sum::<u64>() + x);
@@ -504,8 +354,6 @@ mod tests {
 
     #[test]
     fn for_each_mut_touches_every_item_once() {
-        // serialize with fault-plan-installing tests (process-global hook)
-        let _guard = fault::install(fault::FaultPlan::new());
         let mut xs = vec![0u32; 100];
         for_each_mut(&mut xs, 4, |i, x| *x += i as u32 + 1);
         for (i, &x) in xs.iter().enumerate() {
@@ -514,37 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 1 + 1, || "two".len());
-        assert_eq!((a, b), (2, 3));
-    }
-
-    #[test]
-    fn pool_runs_all_jobs_and_drains() {
-        let pool = ThreadPool::new(3);
-        assert_eq!(pool.threads(), 3);
-        let sum = Arc::new(AtomicU64::new(0));
-        for i in 1..=100u64 {
-            let sum = Arc::clone(&sum);
-            pool.execute(move || {
-                sum.fetch_add(i, Ordering::Relaxed);
-            });
-        }
-        pool.wait_idle();
-        assert_eq!(sum.load(Ordering::Relaxed), 5050);
-        // pool is reusable after an idle barrier
-        let sum2 = Arc::clone(&sum);
-        pool.execute(move || {
-            sum2.fetch_add(1, Ordering::Relaxed);
-        });
-        pool.wait_idle();
-        assert_eq!(sum.load(Ordering::Relaxed), 5051);
-    }
-
-    #[test]
     fn contained_map_records_faults_and_keeps_other_results() {
-        // serialize with fault-plan-installing tests (process-global hook)
-        let _guard = fault::install(fault::FaultPlan::new());
         let xs: Vec<usize> = (0..32).collect();
         for threads in [1, 2, 4] {
             let out = parallel_map_contained(&xs, threads, |&x| {
@@ -568,8 +386,6 @@ mod tests {
 
     #[test]
     fn contained_for_each_mut_survives_a_panicking_item() {
-        // serialize with fault-plan-installing tests (process-global hook)
-        let _guard = fault::install(fault::FaultPlan::new());
         for threads in [1, 3] {
             let mut xs = vec![0u32; 16];
             let faults = for_each_mut_contained(&mut xs, threads, |i, x| {
@@ -598,15 +414,44 @@ mod tests {
         assert_eq!(retried, Ok(103));
     }
 
+    /// A plan armed for one run reaches only that run's workers: 200 armed
+    /// runs each fire their kill exactly once while two unarmed loops of
+    /// plain `parallel_map` (which panics on any fault) run beside them.
+    #[test]
+    fn an_armed_run_never_leaks_into_concurrent_unarmed_runs() {
+        let xs: Vec<u64> = (0..16).collect();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (armed, unarmed) = thread::scope(|s| {
+            let loops: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        while !done.load(Ordering::Acquire) {
+                            assert_eq!(parallel_map(&xs, 1, |&x| x + 1)[0], 1);
+                        }
+                    })
+                })
+                .collect();
+            let armed: Vec<(u64, Vec<usize>)> = (0..200)
+                .map(|_| {
+                    let scope = fault::install(fault::FaultPlan::new().kill_task(0));
+                    let out = parallel_map_contained(&xs, 2, |&x| x + 1);
+                    (scope.fired(), out.faults.iter().map(|f| f.task).collect())
+                })
+                .collect();
+            done.store(true, Ordering::Release);
+            let unarmed: Vec<bool> = loops.into_iter().map(|h| h.join().is_ok()).collect();
+            (armed, unarmed)
+        });
+        for (round, (fired, tasks)) in armed.iter().enumerate() {
+            assert_eq!((*fired, tasks.as_slice()), (1, &[0][..]), "armed run {round}");
+        }
+        assert_eq!(unarmed, [true, true], "an unarmed loop tripped an injected fault");
+    }
+
     #[test]
     fn injected_delays_change_nothing_but_timing() {
         let xs: Vec<u64> = (0..24).collect();
-        // The clean run holds an empty plan's scope too, so a concurrent
-        // test's armed kill can never fire inside it.
-        let clean = {
-            let _quiet = fault::install(fault::FaultPlan::new());
-            parallel_map(&xs, 4, |&x| x * x)
-        };
+        let clean = parallel_map(&xs, 4, |&x| x * x);
         let _scope = fault::install(fault::FaultPlan::new().delay(42, 200));
         let delayed = parallel_map_contained(&xs, 4, |&x| x * x);
         assert!(delayed.is_clean());
@@ -616,8 +461,6 @@ mod tests {
 
     #[test]
     fn uncontained_map_still_propagates_panics() {
-        // serialize with fault-plan-installing tests (process-global hook)
-        let _guard = fault::install(fault::FaultPlan::new());
         let err = std::panic::catch_unwind(|| {
             parallel_map(&[1u8, 2, 3], 2, |&x| {
                 assert!(x != 2, "no twos");

@@ -705,6 +705,7 @@ pub(crate) fn work_stealing<M: Measure>(
     let seeded = sched.publish(0, &[], 0, root_lb);
     debug_assert!(seeded, "a fresh deque accepts the seed");
 
+    let plan = ghd_par::fault::inherit();
     let ends: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = m
             .workers(workers)
@@ -712,7 +713,9 @@ pub(crate) fn work_stealing<M: Measure>(
             .enumerate()
             .map(|(w, state)| {
                 let (sched, budget, incumbent) = (&sched, &budget, &incumbent);
+                let plan = plan.clone();
                 scope.spawn(move || {
+                    plan.adopt();
                     let mut dfs = Dfs::new(m, knobs, state, budget.worker(), ub, root_lb);
                     dfs.shared_ub = Some(incumbent);
                     dfs.sched = Some(sched);

@@ -25,8 +25,6 @@
 //! [`WordArena`]: crate::arena::WordArena
 
 use crate::interner::StateInterner;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Bits of a packed id reserved for the owning worker.
 pub const WORKER_BITS: u32 = 5;
@@ -35,51 +33,16 @@ pub const LOCAL_BITS: u32 = 32 - WORKER_BITS;
 /// Maximum number of workers the packing supports.
 pub const MAX_WORKERS: usize = 1 << WORKER_BITS;
 
-/// Test-only override of the per-shard id capacity (0 = off). Lets the
-/// overflow regression test hit the `2^27`-state degrade path without
-/// interning 134M states.
-static CAP_OVERRIDE: AtomicU32 = AtomicU32::new(0);
-
-fn cap_scope_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Worker-local id capacity per shard: `2^LOCAL_BITS` states, unless
-/// shrunk by [`shrink_local_capacity_for_tests`]. Every shard constructed
-/// by [`ShardedInterner`] is capped here, so a local id out of packing
-/// range is impossible by construction — overflow surfaces as a refused
-/// `try_intern`, never as a wrapped id.
+/// Worker-local id capacity per shard: `2^LOCAL_BITS` states, unless the
+/// fault plan armed on the calling thread shrinks it
+/// ([`ghd_par::fault::FaultPlan::shard_capacity`], a test hook). Every
+/// shard constructed by [`ShardedInterner`] is capped here, so a local id
+/// out of packing range is impossible by construction — overflow surfaces
+/// as a refused `try_intern`, never as a wrapped id.
 #[inline]
 pub fn local_capacity() -> u32 {
-    match CAP_OVERRIDE.load(Ordering::Relaxed) {
-        0 => 1u32 << LOCAL_BITS,
-        cap => cap,
-    }
-}
-
-/// RAII guard of a shrunken-capacity test scope; restores the real
-/// `2^LOCAL_BITS` capacity on drop.
-#[doc(hidden)]
-pub struct CapacityScope {
-    _guard: MutexGuard<'static, ()>,
-}
-
-impl Drop for CapacityScope {
-    fn drop(&mut self) {
-        CAP_OVERRIDE.store(0, Ordering::SeqCst);
-    }
-}
-
-/// Shrinks the per-shard id capacity for the lifetime of the returned
-/// guard (test hook; scope-locked so concurrent tests serialise instead of
-/// trampling each other's capacity).
-#[doc(hidden)]
-pub fn shrink_local_capacity_for_tests(cap: u32) -> CapacityScope {
-    assert!(cap > 0 && cap <= (1 << LOCAL_BITS));
-    let guard = cap_scope_lock().lock().unwrap_or_else(|p| p.into_inner());
-    CAP_OVERRIDE.store(cap, Ordering::SeqCst);
-    CapacityScope { _guard: guard }
+    let full = 1u32 << LOCAL_BITS;
+    ghd_par::fault::shard_capacity().map_or(full, |cap| cap.min(full))
 }
 
 /// Packs `(worker, local_id)` into one owner-tagged `u32`.
@@ -191,8 +154,7 @@ mod tests {
 
     #[test]
     fn packed_ids_resolve_across_shards() {
-        let sharded = ShardedInterner::for_vertices(4, 130);
-        let mut shards = sharded.split();
+        let mut shards = ShardedInterner::for_vertices(4, 130).split();
         assert_eq!(shards.len(), 4);
         let mut packed = Vec::new();
         for (w, shard) in shards.iter_mut().enumerate() {
@@ -230,9 +192,8 @@ mod tests {
     /// limit instead of wrapping into the next worker's id range.
     #[test]
     fn shards_refuse_fresh_keys_at_local_capacity() {
-        let _scope = shrink_local_capacity_for_tests(4);
-        let sharded = ShardedInterner::new(2, 1);
-        let mut shards = sharded.split();
+        let _scope = ghd_par::fault::install(ghd_par::fault::FaultPlan::new().shard_capacity(4));
+        let mut shards = ShardedInterner::new(2, 1).split();
         for w in 0..4u64 {
             assert!(shards[0].try_intern(&[w]).is_some());
         }

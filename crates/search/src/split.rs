@@ -160,13 +160,14 @@ fn block_canon<E: IntoIterator<Item = usize>>(
     }
     s
 }
-/// Re-derives an elimination ordering for the block `verts` from the tree
-/// decomposition of `order` on its induced subgraph, leaving the (clique)
-/// `defer` set out entirely: bags are peeled leaf-first toward a bag
-/// containing `defer`, which eliminates every other vertex at degree
-/// ≤ the decomposition width while the deferred separator stays for a
-/// later block. Returns the emitted vertices (all of `verts` minus
-/// `defer`) in elimination order.
+/// Re-derives an elimination sequence for the block `verts` from the tree
+/// decomposition of the [`EliminationOrdering`] `order` (eliminated from
+/// its end) on its induced subgraph, leaving the (clique) `defer` set out
+/// entirely: bags are peeled leaf-first toward a bag containing `defer`,
+/// which eliminates every other vertex at degree ≤ the decomposition
+/// width while the deferred separator stays for a later block. Returns
+/// the emitted vertices (all of `verts` minus `defer`) first-eliminated
+/// first.
 fn peel_ordering(g: &Graph, verts: &[usize], order: &[usize], defer: &[usize]) -> Vec<usize> {
     let (sub, pos) = induced(g, verts);
     let sigma_c: Vec<usize> = order.iter().map(|&v| pos[v]).collect();
@@ -184,6 +185,7 @@ fn peel_ordering(g: &Graph, verts: &[usize], order: &[usize], defer: &[usize]) -
     let Some((td, root)) = rooted else {
         return order
             .iter()
+            .rev()
             .copied()
             .filter(|&v| !defer.contains(&v))
             .collect();
@@ -645,7 +647,9 @@ impl SplitMeasure for BbConfig {
     /// ≤ max unit widths: atoms of each biconnected block are peeled in
     /// creation order (deferring what later atoms share), each block is
     /// then re-peeled to defer its attachment cut vertex, components
-    /// concatenate.
+    /// concatenate. The peel builds an elimination sequence (first
+    /// eliminated first); the emitted [`EliminationOrdering`] is its
+    /// reverse, after the preprocessed vertices' own reversed sequence.
     fn stitch(
         &self,
         g: &Graph,
@@ -674,21 +678,25 @@ impl SplitMeasure for BbConfig {
                 }
                 let defer: Vec<usize> = verts.iter().copied().filter(|&v| occ[v] > 0).collect();
                 // an atom sharing nothing with later atoms emits whatever
-                // it still owns in solver order
+                // it still owns in solver elimination order
                 let own = if defer.is_empty() {
-                    solved[u].ordering.clone()
+                    solved[u].ordering.iter().rev().copied().collect()
                 } else {
                     peel_ordering(core, verts, &solved[u].ordering, &defer)
                 };
                 bcc_order.extend(own.into_iter().filter(|&v| emitted.insert(v)));
             }
             match bcc.attach {
-                Some(c) => core_order.extend(peel_ordering(core, &bcc.verts, &bcc_order, &[c])),
+                Some(c) => {
+                    bcc_order.reverse();
+                    core_order.extend(peel_ordering(core, &bcc.verts, &bcc_order, &[c]));
+                }
                 None => core_order.extend_from_slice(&bcc_order),
             }
         }
         let mut o: Vec<usize> = core_order
             .into_iter()
+            .rev()
             .map(|v| pre.original_of_core[v])
             .collect();
         o.extend(pre.eliminated.iter().rev());
@@ -900,6 +908,31 @@ mod tests {
         let sigma = EliminationOrdering::new(s.result.ordering.clone().unwrap()).unwrap();
         let w = TwEvaluator::new(&g).width(&sigma);
         assert_eq!(w, s.result.upper_bound);
+    }
+
+    /// Two queen(4) glued at one cut vertex under a 20-node budget: the
+    /// whole-instance witness runs out, so the ordering is stitched, and
+    /// it must realise no more than the widest block's width.
+    #[test]
+    fn anytime_stitch_realises_the_widest_block() {
+        let q = graphs::queen(4);
+        let shift = |v: usize| if v == 0 { 0 } else { v + 15 };
+        let mut g = Graph::new(31);
+        for (u, v) in q.edges() {
+            g.add_edge(u, v);
+            g.add_edge(shift(u), shift(v));
+        }
+        let cfg = BbConfig {
+            limits: SearchLimits::with_nodes(20),
+            ..cfg()
+        };
+        let s = split_tw(&g, &cfg, 1, None);
+        assert!(s.report.split && s.report.stitched, "{:?}", s.report);
+        let widest = s.report.blocks.iter().map(|b| b.width).max().expect("blocks");
+        let sigma = EliminationOrdering::new(s.result.ordering.clone().unwrap()).unwrap();
+        let stitched = TwEvaluator::new(&g).width(&sigma);
+        assert!(stitched <= widest, "stitched width {stitched} > widest block {widest}");
+        assert!(s.result.upper_bound <= widest);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! its ids into another worker's range.
 //!
 //! The real capacity is `2^LOCAL_BITS` (~134M states per shard) — far past
-//! what a test can intern — so the test shrinks it via the scope-locked
-//! hook in `ghd_search::sharded`.
+//! what a test can intern — so the test shrinks it with a fault plan armed
+//! for its own run only (`FaultPlan::shard_capacity`).
 
 use ghd_search::bb_ghw::{bb_ghw, bb_ghw_parallel};
-use ghd_search::sharded::shrink_local_capacity_for_tests;
+use ghd_par::fault::{install, FaultPlan};
 use ghd_search::{BbGhwConfig, SearchLimits};
 use ghd_hypergraph::generators::hypergraphs;
 
@@ -26,7 +26,7 @@ fn shard_overflow_degrades_soundly_instead_of_wrapping() {
         limits: SearchLimits::unlimited().stats(true),
         ..BbGhwConfig::default()
     };
-    let _scope = shrink_local_capacity_for_tests(2);
+    let _scope = install(FaultPlan::new().shard_capacity(2));
     let r = bb_ghw_parallel(&h, &cfg, 2);
 
     // Detection: the overflow is surfaced, not silent.

@@ -388,11 +388,18 @@ impl Server {
     pub fn run(self) -> String {
         let (tx, rx) = sync_channel::<Job>(self.cfg.queue.max(1));
         let rx = Arc::new(Mutex::new(rx));
+        // workers solve for this daemon's run: they take over the fault
+        // plan (a test hook) armed on the thread that runs it
+        let plan = ghd_par::fault::inherit();
         let workers: Vec<_> = (0..self.shared.workers)
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let shared = Arc::clone(&self.shared);
-                thread::spawn(move || worker_loop(&rx, &shared))
+                let plan = plan.clone();
+                thread::spawn(move || {
+                    plan.adopt();
+                    worker_loop(&rx, &shared)
+                })
             })
             .collect();
 
@@ -694,7 +701,8 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Arc<Shared>) {
 }
 
 fn answer(job: &Job, shared: &Arc<Shared>) -> Response {
-    let wait = job.enqueued.elapsed().as_secs_f64();
+    let dequeued = Instant::now();
+    let wait = dequeued.duration_since(job.enqueued).as_secs_f64();
     let req = &job.req;
     let key = shared.solver.cache_key(&req.cmd, &req.instance, &req.args);
     if let Some(k) = &key {
@@ -715,7 +723,8 @@ fn answer(job: &Job, shared: &Arc<Shared>) -> Response {
                 nodes_expanded: Some(0),
                 faults: Some(0),
                 queue_wait_s: Some(wait),
-                wall_s: Some(0.0),
+                // a hit's work: cache key plus probe
+                wall_s: Some(dequeued.elapsed().as_secs_f64()),
                 ..Response::default()
             };
         }

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 gate: offline build, full test suite (plus an assertions-on
-# release pass for the search crates), workspace-wide lint, the parser
-# fuzz smoke gate, and the two self-asserting benches (search cover cache,
-# CSP relation engine). Run from anywhere; exits non-zero on the first
-# failure.
+# release pass for the search crates), workspace-wide lint, CLI and daemon
+# byte-identity smokes, the parser fuzz smoke gate, and the benches
+# (search, CSP relation engine, daemon). Every gate is deterministic: the
+# search bench is checked on work counters and certificates, never on
+# seconds. Run from anywhere; exits non-zero on the first failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -191,11 +192,11 @@ grep -q "drained clean" "$SWEEP_DIR/serve_crash2.log"
 echo "==> fuzz_inputs (seeded byte mutations across every parser; a panic fails)"
 cargo run --offline -q --release -p ghd-bench --bin fuzz_inputs -- --iters 2000 --seed 7
 
-echo "==> bench_smoke (cover cache on/off + A* rows + split sweep, writes BENCH_search.json)"
+echo "==> bench_smoke (cover cache on/off + A* rows + split sweep node counts, writes BENCH_search.json)"
 GHD_BENCH_SAMPLES="${GHD_BENCH_SAMPLES:-3}" \
     cargo run --offline -q --release -p ghd-bench --bin bench_smoke
 
-echo "==> validate BENCH_search.json (schema, certified widths, >25% wall-clock regressions)"
+echo "==> validate BENCH_search.json (schema, certified widths, split saves nodes, counters equal the baseline's)"
 cargo run --offline -q --release -p ghd-bench --bin validate_bench -- \
     BENCH_search.json --baseline results/BENCH_search_baseline.json
 

@@ -9,8 +9,8 @@ use ghd::core::{CoverMethod, EliminationOrdering};
 use ghd::hypergraph::generators::{graphs, hypergraphs};
 use ghd::hypergraph::Hypergraph;
 use ghd::search::{
-    astar_ghw, astar_tw, bb_ghw, bb_ghw_parallel, bb_tw, bb_tw_parallel, BbConfig, BbGhwConfig,
-    SearchLimits,
+    astar_ghw, astar_tw, bb_ghw, bb_ghw_parallel, bb_ghw_parallel_rootsplit, bb_tw,
+    bb_tw_parallel, BbConfig, BbGhwConfig, SearchLimits,
 };
 use std::time::{Duration, Instant};
 
@@ -140,6 +140,30 @@ fn parallel_searches_match_sequential_and_orderings_realize_widths() {
             .expect("search orderings are permutations");
             let realized = TwEvaluator::new(&g).width(&sigma);
             assert_eq!(realized, par.upper_bound, "seed {seed} threads {threads}");
+        }
+    }
+
+    // larger hypergraphs at up to 8 threads: work stealing reproduces the
+    // sequential ordering, root split the sequential width, and the
+    // ordering yields a verifying GHD of that width
+    for (name, h) in [
+        ("grid2d_6", hypergraphs::grid2d(6)),
+        ("syn-rand_24", hypergraphs::random_hypergraph(24, 28, 4, 9)),
+        ("syn-circuit_30", hypergraphs::random_circuit(30, 32, 0xA)),
+    ] {
+        let seq = bb_ghw(&h, &BbGhwConfig::default());
+        assert!(seq.exact, "{name}");
+        for threads in [1usize, 2, 4, 8] {
+            let root = bb_ghw_parallel_rootsplit(&h, &BbGhwConfig::default(), threads);
+            assert_eq!(root.upper_bound, seq.upper_bound, "{name} rootsplit t{threads}");
+            let steal = bb_ghw_parallel(&h, &BbGhwConfig::default(), threads);
+            assert_eq!(steal.upper_bound, seq.upper_bound, "{name} t{threads}");
+            assert_eq!(steal.ordering, seq.ordering, "{name} t{threads}");
+            let sigma = EliminationOrdering::new(steal.ordering.expect("an ordering"))
+                .expect("search orderings are permutations");
+            let ghd = ghd_from_ordering(&h, &sigma, CoverMethod::Exact);
+            assert!(ghd.verify(&h).is_ok(), "{name} t{threads}: certificate rejected");
+            assert_eq!(ghd.width(), steal.upper_bound, "{name} t{threads}");
         }
     }
 }

@@ -5,10 +5,6 @@
 //! global node/time budget. With injection disabled, results are
 //! bit-identical to a clean run (the containment wrapper is behaviourally
 //! free).
-//!
-//! All tests here install a `FaultPlan` (possibly empty); installation
-//! holds a process-wide scope lock, so the tests serialise instead of
-//! observing each other's injected faults.
 
 use ghd::core::bucket::ghd_from_ordering;
 use ghd::core::eval::TwEvaluator;
@@ -23,10 +19,7 @@ use ghd::search::{
 #[test]
 fn bb_tw_parallel_survives_a_killed_worker_width_identical() {
     for g in [graphs::queen(4), graphs::gnm_random(14, 40, 3)] {
-        let seq = {
-            let _clean = fault::install(FaultPlan::new());
-            bb_tw(&g, &BbConfig::default())
-        };
+        let seq = bb_tw(&g, &BbConfig::default());
         assert!(seq.exact);
         for threads in [2, 4] {
             // kill the first root-split task once; the retry explores it
@@ -51,10 +44,7 @@ fn bb_ghw_parallel_survives_a_killed_worker_width_identical() {
     // grid2d(5) fans out to several root children (no forced simplicial
     // reduction at the root), so task index 1 exists and the kill fires
     let h = hypergraphs::grid2d(5);
-    let seq = {
-        let _clean = fault::install(FaultPlan::new());
-        bb_ghw(&h, &BbGhwConfig::default())
-    };
+    let seq = bb_ghw(&h, &BbGhwConfig::default());
     assert!(seq.exact);
     for threads in [2, 4] {
         let scope = fault::install(FaultPlan::new().kill_task(1));
@@ -101,7 +91,6 @@ fn injection_disabled_results_are_bit_identical() {
     // the containment machinery itself must be behaviourally free
     let g = graphs::grid(4);
     let h = hypergraphs::random_circuit(20, 22, 7);
-    let _clean = fault::install(FaultPlan::new());
     for threads in [1, 2, 4] {
         let a = bb_tw_parallel(&g, &BbConfig::default(), threads);
         let b = bb_tw_parallel(&g, &BbConfig::default(), threads);
@@ -119,10 +108,7 @@ fn injection_disabled_results_are_bit_identical() {
 #[test]
 fn injected_delays_leave_parallel_results_unchanged() {
     let h = hypergraphs::random_circuit(20, 22, 7);
-    let clean = {
-        let _scope = fault::install(FaultPlan::new());
-        bb_ghw_parallel(&h, &BbGhwConfig::default(), 4)
-    };
+    let clean = bb_ghw_parallel(&h, &BbGhwConfig::default(), 4);
     let _scope = fault::install(FaultPlan::new().delay(0xD5, 300));
     let jittered = bb_ghw_parallel(&h, &BbGhwConfig::default(), 4);
     assert!(jittered.faults.is_empty());
@@ -133,10 +119,7 @@ fn injected_delays_leave_parallel_results_unchanged() {
 #[test]
 fn saiga_survives_a_killed_island_epoch() {
     let h = hypergraphs::clique(6);
-    let clean = {
-        let _scope = fault::install(FaultPlan::new());
-        saiga_ghw(&h, &SaigaConfig::small(11))
-    };
+    let clean = saiga_ghw(&h, &SaigaConfig::small(11));
     assert!(clean.faults.is_empty());
     for threads in [1, 2, 4] {
         let cfg = SaigaConfig {

@@ -4,15 +4,12 @@
 //! yet widths *and orderings* must equal the sequential search exactly —
 //! the witness-reconstruction pass makes the reported ordering
 //! schedule-independent, so any divergence here is a real determinism bug.
-//!
-//! Installation of a `FaultPlan` holds a process-wide scope lock, so these
-//! tests serialise against each other instead of observing each other's
-//! injected delays.
 
 use ghd::hypergraph::generators::{graphs, hypergraphs};
 use ghd::par::fault::{self, FaultPlan};
 use ghd::search::{
-    bb_ghw, bb_ghw_parallel, bb_tw, bb_tw_parallel, BbConfig, BbGhwConfig, StealConfig,
+    bb_ghw, bb_ghw_parallel, bb_tw, bb_tw_parallel, BbConfig, BbGhwConfig, SearchLimits,
+    StealConfig, StealCounters,
 };
 
 /// 32 delay seeds crossed with threads {2, 4, 8} and three steal-depth
@@ -28,10 +25,7 @@ fn bb_ghw_ordering_is_schedule_independent_under_injected_delays() {
         hypergraphs::random_hypergraph(10, 7, 3, 1),
         hypergraphs::random_circuit(16, 18, 7),
     ] {
-        let seq = {
-            let _clean = fault::install(FaultPlan::new());
-            bb_ghw(&h, &BbGhwConfig::default())
-        };
+        let seq = bb_ghw(&h, &BbGhwConfig::default());
         assert!(seq.exact);
         for seed in 0..SEEDS {
             let threads = THREADS[(seed as usize) % THREADS.len()];
@@ -54,10 +48,7 @@ fn bb_ghw_ordering_is_schedule_independent_under_injected_delays() {
 #[test]
 fn bb_tw_ordering_is_schedule_independent_under_injected_delays() {
     for g in [graphs::gnm_random(13, 32, 3), graphs::grid(4)] {
-        let seq = {
-            let _clean = fault::install(FaultPlan::new());
-            bb_tw(&g, &BbConfig::default())
-        };
+        let seq = bb_tw(&g, &BbConfig::default());
         assert!(seq.exact);
         for seed in 0..SEEDS {
             let threads = THREADS[(seed as usize) % THREADS.len()];
@@ -79,23 +70,31 @@ fn bb_tw_ordering_is_schedule_independent_under_injected_delays() {
 
 /// Delays combined with a mid-run kill: the retried task runs on a
 /// perturbed schedule too, and the result must stay exact and
-/// ordering-identical.
+/// ordering-identical. The scheduler's books must balance: every
+/// execution is the seed task, a published task, or the one retry.
 #[test]
 fn delays_plus_a_killed_task_still_converge_to_the_sequential_result() {
     let h = hypergraphs::grid2d(5);
-    let seq = {
-        let _clean = fault::install(FaultPlan::new());
-        bb_ghw(&h, &BbGhwConfig::default())
+    let seq = bb_ghw(&h, &BbGhwConfig::default());
+    let cfg = BbGhwConfig {
+        limits: SearchLimits::unlimited().stats(true),
+        ..BbGhwConfig::default()
     };
     for seed in 0..8u64 {
         let threads = THREADS[(seed as usize) % THREADS.len()];
         let scope = fault::install(FaultPlan::new().delay(seed, 120).kill_task(1));
-        let par = bb_ghw_parallel(&h, &BbGhwConfig::default(), threads);
+        let par = bb_ghw_parallel(&h, &cfg, threads);
         assert_eq!(scope.fired(), 1, "seed {seed}: kill did not fire");
         drop(scope);
         assert_eq!(par.faults.len(), 1, "seed {seed}");
         assert!(par.exact, "seed {seed}: retry lost exactness");
         assert_eq!(par.upper_bound, seq.upper_bound, "seed {seed}");
         assert_eq!(par.ordering, seq.ordering, "seed {seed}");
+        let steals = &par.stats.as_ref().expect("stats requested").worker_steals;
+        let sum = |f: fn(&StealCounters) -> u64| steals.iter().map(f).sum::<u64>();
+        let (published, executed, retried) =
+            (sum(|s| s.published), sum(|s| s.executed), sum(|s| s.retried));
+        assert_eq!(executed, published + 1 + retried, "seed {seed}: {steals:?}");
+        assert_eq!(retried, 1, "seed {seed}: the killed task runs again once");
     }
 }
