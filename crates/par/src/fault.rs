@@ -159,7 +159,7 @@ pub fn install(plan: FaultPlan) -> FaultScope {
 }
 
 /// The plan armed on a spawning thread, on its way to a worker thread.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Inherited(Option<Arc<Armed>>);
 
 /// Captures the calling thread's plan (if any) for the worker threads its
